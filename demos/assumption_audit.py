@@ -16,9 +16,9 @@ from loorisk import (
     audit_assumptions,
     check_perturb_lemma,
     fit,
-    fit_leave_one_out,
     gen_replicate,
     pick_audit_indices,
+    refits,
 )
 
 config = SimConfig(
@@ -31,9 +31,7 @@ X, _, y, _ = gen_replicate(config, 60, 0)
 data = Dataset(X, y)
 full = fit(data, model)
 
-loo = {}
-for i in pick_audit_indices(data.n, 15):
-    loo[i] = fit_leave_one_out(data, model, i, warm=full.beta_hat)
+loo = dict(refits(data, model, pick_audit_indices(data.n, 15), full))
 
 audit = audit_assumptions(data, model, full, loo, t_grid_size=11)
 print(f"derivative cap  c0_emp = {audit.c0_emp:.4f}   "

@@ -53,7 +53,7 @@ from .regularizers import (
     strong_convexity_lower,
 )
 from .reporting import write_results
-from .risk import RiskReport, alo, fold_assignments, kfold_cv, lo_exact
+from .risk import RiskReport, alo, fold_assignments, kfold_cv, lo_exact, refits
 from .solver import (
     Dataset,
     FitResult,
@@ -110,6 +110,7 @@ __all__ = [
     "prox_step",
     "reg_eval",
     "reg_value",
+    "refits",
     "run_figure1",
     "run_table1",
     "run_table2",

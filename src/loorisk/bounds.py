@@ -113,13 +113,12 @@ def pick_audit_indices(n, count=25):
 
 def _segment_sigma_min(data, model, beta_full, beta_loo, i, t_grid):
     """inf over the t-grid of sigma_min(A_{t,/i})."""
-    X_i = np.delete(data.X, i, axis=0)
-    y_i = np.delete(data.y, i)
+    rest = data.drop_rows(i)
     best = np.inf
     for t in t_grid:
         beta_t = t * beta_loo + (1.0 - t) * beta_full
-        _, _, d2 = loss_eval(model.loss, y_i, X_i @ beta_t)
-        A = _weighted_gram(X_i, d2)
+        _, _, d2 = loss_eval(model.loss, rest.y, rest.X @ beta_t)
+        A = _weighted_gram(rest.X, d2)
         idx = np.diag_indices_from(A)
         A[idx] += model.lam * reg_curvature_diag(model.reg, beta_t)
         sigma_min = eigvalsh(A, subset_by_index=[0, 0], lower=True)[0]

@@ -33,8 +33,8 @@ from .datagen import SimConfig, gen_replicate
 from .losses import LossSpec, loss_derivative_bound, loss_eval
 from .regularizers import RegSpec
 from .reporting import write_results
-from .risk import alo, kfold_cv, lo_exact
-from .solver import Dataset, ModelSpec, SolverError, SolverOpts, fit, fit_leave_one_out
+from .risk import alo, kfold_cv, lo_exact, refits
+from .solver import Dataset, ModelSpec, SolverError, SolverOpts, fit
 
 PRESETS = (
     "table1_desk",
@@ -162,15 +162,15 @@ def load_config(path=None, preset=None):
 
 
 def _apply_overrides(args, sim, opts):
-    if getattr(args, "seed", None) is not None:
+    if args.seed is not None:
         sim = replace(sim, seed=args.seed)
-    if getattr(args, "tol", None) is not None:
+    if args.tol is not None:
         opts = replace(opts, tol=args.tol)
     return sim, opts
 
 
 def _threads(args):
-    if getattr(args, "threads", None) is not None:
+    if args.threads is not None:
         return args.threads
     env = os.environ.get("LOORISK_THREADS")
     if env:
@@ -199,7 +199,7 @@ def _manifest_info(args, out_dir):
 def _emit(result, args, summary_lines):
     for line in summary_lines:
         print(line)
-    if getattr(args, "out", None):
+    if args.out:
         paths = write_results(result, args.out, _manifest_info(args, args.out))
         print(f"wrote {', '.join(str(p) for p in paths)}")
 
@@ -270,12 +270,7 @@ def _cmd_audit(args):
     if not full.converged:
         raise SolverError("full fit did not converge")
     indices = pick_audit_indices(data.n, args.sample_i)
-    loo = {}
-    for i in indices:
-        res = fit_leave_one_out(data, model, i, warm=full.beta_hat, opts=opts)
-        if not res.converged:
-            raise SolverError(f"leave-one-out fit for row {i} did not converge")
-        loo[i] = res
+    loo = dict(refits(data, model, indices, full, opts))
     audit = audit_assumptions(data, model, full, loo, t_grid_size=args.t_grid)
     perturb = check_perturb_lemma(data, model, full, loo, audit.nu_emp)
     n, p = data.n, data.p
@@ -400,13 +395,11 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p, config=True):
-        if config:
-            p.add_argument("--config", help="path to a config file")
-            p.add_argument("--preset", help=f"one of: {', '.join(PRESETS)}")
+    def add_common(p):
+        p.add_argument("--config", help="path to a config file")
+        p.add_argument("--preset", help=f"one of: {', '.join(PRESETS)}")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory")
-        p.add_argument("--threads", type=int, help="worker processes")
         p.add_argument("--tol", type=float, help="override solver tolerance")
 
     for name in ("fit", "lo", "alo"):
@@ -415,13 +408,16 @@ def build_parser():
     add_common(cv)
     cv.add_argument("--k", type=int, default=5, help="number of folds")
 
-    bounds_p = sub.add_parser("bounds")
+    bounds_p = sub.add_parser(
+        "bounds",
+        description="Bound constants for ridge-logistic regression: uses the "
+        "logistic constants c0 = c1 = 2 and the curvature floor nu = lambda.",
+    )
     bounds_p.add_argument("--rho", type=float, required=True)
     bounds_p.add_argument("--delta", type=float, required=True)
     bounds_p.add_argument("--lambda", dest="lam", type=float, required=True)
     bounds_p.add_argument("--n", type=int, help="report C_v / n at this n")
     bounds_p.add_argument("--out", help="output directory")
-    bounds_p.add_argument("--seed", type=int, help=argparse.SUPPRESS)
 
     audit_p = sub.add_parser("audit")
     add_common(audit_p)
@@ -431,8 +427,9 @@ def build_parser():
     sim_p = sub.add_parser("simulate")
     sim_p.add_argument("study", choices=("table1", "table2", "figure1"))
     add_common(sim_p)
+    sim_p.add_argument("--threads", type=int, help="worker processes")
 
-    add_common(sub.add_parser("selftest"), config=False)
+    sub.add_parser("selftest")
     return parser
 
 

@@ -1,28 +1,23 @@
 """LO, ALO and K-fold estimates of the out-of-sample error.
 
-lo_exact refits n times (warm-started at the full-data solution); alo
-replaces the refits with a single factorization plus rank-one leverage
-corrections; kfold_cv partitions rows by a seeded shuffle.
+refits yields one refit per held-out group of rows, warm-started at the
+full-data solution; it is the only loop over held-out sets.  lo_exact holds
+out each row, kfold_cv each fold of a seeded shuffle, and both score the
+held-out rows against their refit.  alo replaces the refits with a single
+factorization plus rank-one leverage corrections.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
 from .losses import loss_eval
-from .regularizers import reg_eval
-from .solver import (
-    Dataset,
-    SolverError,
-    SolverOpts,
-    _weighted_gram,
-    fit,
-    fit_leave_one_out,
-)
+from .regularizers import reg_curvature_diag, reg_eval
+from .solver import SolverError, _weighted_gram, fit, fit_leave_one_out
 
 log = logging.getLogger(__name__)
 
@@ -63,6 +58,35 @@ def _aggregate(per_sample):
     return estimate, n_flagged
 
 
+def refits(data, model, groups, full_fit, opts=None):
+    """Refit without each group of rows, warm-started at full_fit.
+
+    Yields (rows, FitResult) per group; a refit that does not converge
+    raises SolverError naming its rows.
+    """
+    for rows in groups:
+        res = fit_leave_one_out(data, model, rows, warm=full_fit.beta_hat, opts=opts)
+        if not res.converged:
+            raise SolverError(
+                f"refit without rows {np.atleast_1d(rows).tolist()} did not converge"
+            )
+        yield rows, res
+
+
+def _refit_report(data, model, groups, full, opts, method):
+    """Score every held-out row against the refit that left it out."""
+    if not full.converged:
+        raise SolverError("full-data fit did not converge")
+    per_sample = np.empty(data.n)
+    for rows, res in refits(data, model, groups, full, opts):
+        for i in np.atleast_1d(rows):
+            per_sample[i] = _phi_values(
+                model, data.y[i], float(data.X[i] @ res.beta_hat)
+            )
+    estimate, n_flagged = _aggregate(per_sample)
+    return RiskReport(per_sample, estimate, method, n_flagged=n_flagged)
+
+
 def lo_exact(data, model, opts=None, full_fit=None):
     """Exact leave-one-out: refit without each row, score the held-out row.
 
@@ -71,18 +95,8 @@ def lo_exact(data, model, opts=None, full_fit=None):
     """
     if data.n < 2:
         raise ValueError("leave-one-out requires n >= 2")
-    opts = opts or SolverOpts()
     full = full_fit if full_fit is not None else fit(data, model, opts)
-    if not full.converged:
-        raise SolverError("full-data fit did not converge")
-    per_sample = np.empty(data.n)
-    for i in range(data.n):
-        res = fit_leave_one_out(data, model, i, warm=full.beta_hat, opts=opts)
-        if not res.converged:
-            raise SolverError(f"leave-one-out fit for row {i} did not converge")
-        per_sample[i] = _phi_values(model, data.y[i], float(data.X[i] @ res.beta_hat))
-    estimate, n_flagged = _aggregate(per_sample)
-    return RiskReport(per_sample, estimate, "lo_exact", n_flagged=n_flagged)
+    return _refit_report(data, model, range(data.n), full, opts, "lo_exact")
 
 
 def _leverage_smooth(data, model, beta, d2):
@@ -110,6 +124,8 @@ def _leverage_l1(data, model, beta, d2, active_tol):
         )
     Xs = data.X[:, active]
     A = _weighted_gram(Xs, d2)
+    idx = np.diag_indices_from(A)
+    A[idx] += model.lam * reg_curvature_diag(model.reg, beta[active])
     try:
         factor = cho_factor(A, lower=True)
     except LinAlgError as exc:
@@ -123,7 +139,8 @@ def alo(data, model, full_fit, active_tol=1e-8):
 
     Smooth regularizers use the full generalized hat matrix; l1-family
     regularizers restrict the design to the active set (coordinates whose
-    magnitude exceeds active_tol relative to the largest).  Entries with
+    magnitude exceeds active_tol relative to the largest) and keep the
+    curvature of the penalty's quadratic part there (zero for pure l1).  Entries with
     leverage at the pole are flagged +inf, never silently dropped.
     """
     if not full_fit.converged:
@@ -177,21 +194,6 @@ def kfold_cv(data, model, K, seed, opts=None):
     """K-fold cross validation; K = n reproduces lo_exact exactly."""
     if not 2 <= K <= data.n:
         raise ValueError("K must satisfy 2 <= K <= n")
-    opts = opts or SolverOpts()
-    full = fit(data, model, opts)
-    if not full.converged:
-        raise SolverError("full-data fit did not converge")
     labels = fold_assignments(data.n, K, seed)
-    per_sample = np.empty(data.n)
-    for fold in range(K):
-        held = labels == fold
-        train = Dataset(data.X[~held], data.y[~held])
-        res = fit(train, model, replace(opts, warm_start=full.beta_hat))
-        if not res.converged:
-            raise SolverError(f"fold {fold} fit did not converge")
-        for i in np.flatnonzero(held):
-            per_sample[i] = _phi_values(
-                model, data.y[i], float(data.X[i] @ res.beta_hat)
-            )
-    estimate, n_flagged = _aggregate(per_sample)
-    return RiskReport(per_sample, estimate, "kfold", n_flagged=n_flagged)
+    folds = [np.flatnonzero(labels == fold) for fold in range(K)]
+    return _refit_report(data, model, folds, fit(data, model, opts), opts, "kfold")

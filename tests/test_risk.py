@@ -1,19 +1,32 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from loorisk import solver
 from loorisk.datagen import CovSpec, gen_beta_star, gen_design, gen_response
 from loorisk.losses import LossSpec, loss_eval
 from loorisk.regularizers import RegSpec
-from loorisk.risk import alo, fold_assignments, kfold_cv, lo_exact
-from loorisk.solver import Dataset, ModelSpec, SolverOpts, fit
+from loorisk.risk import alo, fold_assignments, kfold_cv, lo_exact, refits
+from loorisk.solver import Dataset, ModelSpec, SolverError, SolverOpts, fit
 
 RIDGE_SQ = ModelSpec(LossSpec("squared"), RegSpec("ridge"), lam=1.0)
+ENET_SQ = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=1.0)
 PROX_OPTS = SolverOpts(max_iter=20000)
 
 
 def seeded_ridge_instance(n, p, seed):
     rng = np.random.default_rng(seed)
     return Dataset(rng.standard_normal((n, p)), rng.standard_normal(n))
+
+
+def enet_instance(seed):
+    # |beta*| >= 2 against a penalty of 1 on 40 standard-normal rows: every
+    # coefficient stays active, with the sign of beta*, in every refit
+    rng = np.random.default_rng(seed)
+    X = rng.standard_normal((40, 5))
+    beta_star = np.array([3.0, -3.0, 2.0, -2.0, 4.0])
+    return Dataset(X, X @ beta_star + 0.5 * rng.standard_normal(40))
 
 
 def logistic_ridge_instance(n, seed, lam=0.1):
@@ -100,14 +113,30 @@ def test_alo_l1_active_set_leverages():
     assert np.allclose(report.h_diag, np.diag(H), atol=1e-8)
 
 
-@pytest.mark.parametrize("shape", [(30, 10), (10, 30)])
-def test_quadratic_exactness(shape):
-    n, p = shape
+@pytest.mark.parametrize(
+    "model, instance, opts",
+    [
+        (RIDGE_SQ, lambda seed: seeded_ridge_instance(30, 10, seed), None),
+        (RIDGE_SQ, lambda seed: seeded_ridge_instance(10, 30, seed), None),
+        # FISTA stops on the prox fixed-point residual; at 1e-12 the LO
+        # refits are exact well inside the 1e-8 window (1e-9 leaves ~2e-8)
+        (ENET_SQ, enet_instance, SolverOpts(tol=1e-12, max_iter=20000)),
+    ],
+    ids=["shape0", "shape1", "elastic_net"],
+)
+def test_quadratic_exactness(model, instance, opts):
     for seed in range(10):
-        data = seeded_ridge_instance(n, p, seed=100 + seed)
-        full = fit(data, RIDGE_SQ)
-        a = alo(data, RIDGE_SQ, full)
-        lo = lo_exact(data, RIDGE_SQ, full_fit=full)
+        data = instance(100 + seed)
+        full = fit(data, model, opts)
+        if not model.reg.is_smooth:
+            # l1-family ALO is exact only when no refit changes the active
+            # set or a sign
+            signs = np.sign(full.beta_hat)
+            assert np.all(signs != 0)
+            for _, res in refits(data, model, range(data.n), full, opts):
+                assert np.array_equal(np.sign(res.beta_hat), signs)
+        a = alo(data, model, full)
+        lo = lo_exact(data, model, opts, full_fit=full)
         assert np.max(np.abs(a.per_sample - lo.per_sample)) <= 1e-8
 
 
@@ -167,6 +196,36 @@ def test_kfold_equals_lo_when_k_is_n():
     cv = kfold_cv(data, model, K=14, seed=77)
     assert np.array_equal(lo.per_sample, cv.per_sample)
     assert lo.estimate == cv.estimate
+
+
+def refit_fails_on_call(monkeypatch, k):
+    """Make the k-th refit (1-based) report non-convergence."""
+    real_fit = solver.fit
+    calls = []
+
+    def fake_fit(data, model, opts=None, beta0=None):
+        res = real_fit(data, model, opts, beta0)
+        calls.append(res)
+        return replace(res, converged=False) if len(calls) == k else res
+
+    monkeypatch.setattr(solver, "fit", fake_fit)
+
+
+def test_lo_names_the_row_whose_refit_fails(monkeypatch):
+    data = seeded_ridge_instance(8, 3, seed=14)
+    refit_fails_on_call(monkeypatch, 4)
+    with pytest.raises(SolverError, match=r"rows \[3\] did not converge"):
+        lo_exact(data, RIDGE_SQ)
+
+
+def test_kfold_names_the_rows_of_the_failing_fold(monkeypatch):
+    data = seeded_ridge_instance(11, 3, seed=15)
+    labels = fold_assignments(11, 3, seed=4)
+    rows = np.flatnonzero(labels == 1).tolist()
+    refit_fails_on_call(monkeypatch, 2)
+    with pytest.raises(SolverError) as info:
+        kfold_cv(data, RIDGE_SQ, K=3, seed=4)
+    assert f"rows {rows} did not converge" in str(info.value)
 
 
 def test_kfold_constant_on_duplicated_rows():

@@ -109,12 +109,48 @@ def test_duplicated_row_leave_one_out():
     assert np.allclose(base.beta_hat, dropped.beta_hat, atol=1e-9)
 
 
+@pytest.mark.parametrize(
+    "model",
+    [
+        logistic_ridge_model(0.5),
+        ModelSpec(LossSpec("logistic"), RegSpec("elastic_net", mix=0.5), lam=0.5),
+    ],
+    ids=["ridge", "elastic_net"],
+)
+def test_fold_refit_equals_fit_on_kept_rows(model):
+    data = seeded_logistic_data(30, 10, seed=13)
+    opts = SolverOpts(max_iter=20000)
+    warm = fit(data, model, opts).beta_hat
+    idx = np.array([2, 7, 19, 25])
+    mask = np.ones(data.n, dtype=bool)
+    mask[idx] = False
+    refit = fit_leave_one_out(data, model, idx, warm=warm, opts=opts)
+    direct = fit(Dataset(data.X[mask], data.y[mask]), model, opts, beta0=warm)
+    assert refit.converged
+    assert np.array_equal(refit.beta_hat, direct.beta_hat)
+    assert refit.iterations == direct.iterations
+
+
+def test_refit_rejects_bad_row_sets():
+    data = Dataset(np.eye(3), np.zeros(3))
+    with pytest.raises(ValueError):
+        fit_leave_one_out(data, RIDGE_SQ, np.array([], dtype=int))
+    for rows in (3, -1, np.array([0, 3])):
+        with pytest.raises(IndexError):
+            fit_leave_one_out(data, RIDGE_SQ, rows)
+    for rows in (np.arange(3), np.array([2, 0, 1, 0])):
+        with pytest.raises(ValueError):
+            fit_leave_one_out(data, RIDGE_SQ, rows)
+    with pytest.raises(ValueError):
+        fit_leave_one_out(Dataset(np.eye(1), np.zeros(1)), RIDGE_SQ, 0)
+
+
 def test_warm_and_cold_starts_agree():
     data = seeded_logistic_data(40, 25, seed=6)
     model = logistic_ridge_model(0.5)
     cold = fit(data, model)
     warm_start = cold.beta_hat + np.random.default_rng(7).normal(0, 0.3, 25)
-    warm = fit(data, model, SolverOpts(warm_start=warm_start))
+    warm = fit(data, model, beta0=warm_start)
     assert cold.converged and warm.converged
     assert np.max(np.abs(cold.beta_hat - warm.beta_hat)) <= 1e-7
 
