@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .losses import loss_eval
+from .losses import _loss_terms, loss_eval
 from .regularizers import reg_curvature_diag
 from .solver import _weighted_gram
 
@@ -112,15 +112,14 @@ def pick_audit_indices(n, count=25):
 
 
 def _segment_sigma_min(data, model, beta_full, beta_loo, i, t_grid):
-    """inf over the t-grid of sigma_min(A_{t,/i})."""
+    """inf over the t-grid of sigma_min(A_{t,/i}); responses already checked."""
     rest = data.drop_rows(i)
     best = np.inf
     for t in t_grid:
         beta_t = t * beta_loo + (1.0 - t) * beta_full
-        _, _, d2 = loss_eval(model.loss, rest.y, rest.X @ beta_t)
-        A = _weighted_gram(rest.X, d2)
-        idx = np.diag_indices_from(A)
-        A[idx] += model.lam * reg_curvature_diag(model.reg, beta_t)
+        _, _, d2 = _loss_terms(model.loss, rest.y, rest.X @ beta_t)
+        curvature = model.lam * reg_curvature_diag(model.reg, beta_t)
+        A = _weighted_gram(rest.X, d2, curvature)
         sigma_min = eigvalsh(A, subset_by_index=[0, 0], lower=True)[0]
         best = min(best, float(sigma_min))
     return best

@@ -30,7 +30,7 @@ from .bounds import (
     pick_audit_indices,
 )
 from .datagen import SimConfig, gen_replicate
-from .losses import LossSpec, loss_derivative_bound, loss_eval
+from .losses import LossSpec, _check_response, loss_derivative_bound, loss_eval
 from .regularizers import RegSpec
 from .reporting import write_results
 from .risk import alo, kfold_cv, lo_exact, refits
@@ -130,6 +130,14 @@ def load_config_text(text, source="<config>"):
         model = ModelSpec(loss=loss, reg=reg, lam=lam)
     except ValueError as exc:
         raise ConfigError(f"[model]: {exc}") from exc
+    # loss domains nest ({0, 1} within the counts within the reals), so a
+    # loss can score a design family when it accepts its least usual value
+    response = {"linear": -0.5, "logistic": 1.0}.get(sim.family, 2.0)
+    try:
+        _check_response(loss, np.array([response]))
+    except ValueError as exc:
+        msg = f"[model] loss cannot score family = {sim.family}: {exc}"
+        raise ConfigError(msg) from exc
 
     try:
         opts = SolverOpts(
@@ -303,10 +311,14 @@ def _cmd_audit(args):
 
 
 def _cmd_simulate(args):
-    from .experiments import run_figure1, run_table1, run_table2
+    from .experiments import check_study, run_figure1, run_table1, run_table2
 
     sim, model, opts = load_config(args.config, args.preset)
     sim, opts = _apply_overrides(args, sim, opts)
+    try:
+        check_study(args.study, sim, model)
+    except ValueError as exc:
+        raise ConfigError(str(exc)) from exc
     runner = {"table1": run_table1, "table2": run_table2, "figure1": run_figure1}[
         args.study
     ]

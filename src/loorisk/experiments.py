@@ -11,6 +11,7 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -107,11 +108,8 @@ def _table_replicate(args):
     data = Dataset(X, y)
     full = fit(data, model, opts)
     if not full.converged:
-        raise SolverError(f"full fit did not converge (n={n}, rep={rep})")
-    try:
-        lo = lo_exact(data, model, opts, full_fit=full)
-    except SolverError as exc:
-        raise SolverError(f"{exc} (n={n}, rep={rep})") from exc
+        raise SolverError("full fit did not converge")
+    lo = lo_exact(data, model, opts, full_fit=full)
     if kind == "table1":
         truth = TrueModel(beta_star, cov, noise_var=config.noise_var, family="linear")
         # phi is the half squared error; the closed form is full-square
@@ -129,7 +127,7 @@ def _figure1_replicate(args):
     data = Dataset(X, y)
     full = fit(data, model, opts)
     if not full.converged:
-        raise SolverError(f"full fit did not converge (n={n}, rep={rep})")
+        raise SolverError("full fit did not converge")
     truth = TrueModel(beta_star, cov, noise_var=config.noise_var, family="linear")
     out = {"oracle": err_out_linear(full.beta_hat, truth)}
     # LO / K-fold average the half-squared-error loss; report the full square
@@ -137,16 +135,26 @@ def _figure1_replicate(args):
     out["lo_exact"] = 2.0 * lo.estimate
     for K in config.k_folds:
         fold_seed = derive_seed(config.seed, n, rep, K)
-        cv = kfold_cv(data, model, K, fold_seed, opts)
+        cv = kfold_cv(data, model, K, fold_seed, opts, full_fit=full)
         out[f"kfold{K}"] = 2.0 * cv.estimate
     return out
 
 
+def _named_replicate(worker, task):
+    """worker(task), with a SolverError naming the replicate (n, rep)."""
+    _, _, _, n, rep, _ = task
+    try:
+        return worker(task)
+    except SolverError as exc:
+        raise SolverError(f"{exc} (n={n}, rep={rep})") from exc
+
+
 def _run_replicates(worker, tasks, threads):
+    run = partial(_named_replicate, worker)
     if threads and threads > 1:
         with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(worker, tasks))
-    return [worker(task) for task in tasks]
+            return list(pool.map(run, tasks))
+    return [run(task) for task in tasks]
 
 
 def _run_table(kind, config, model, opts, threads):
@@ -184,21 +192,34 @@ def _run_table(kind, config, model, opts, threads):
     return ExperimentResult(kind, rows, slope_fit, config)
 
 
+# response family and regularizer each study is defined for (None: any)
+_STUDIES = {
+    "table1": ("linear", "elastic_net"),
+    "table2": ("logistic", "ridge"),
+    "figure1": ("linear", None),
+}
+
+
+def check_study(kind, config, model):
+    """Raise ValueError when config and model do not fit the study kind."""
+    family, reg = _STUDIES[kind]
+    if config.family != family:
+        raise ValueError(f"{kind} requires the {family} family")
+    if reg is not None and model.reg.family != reg:
+        raise ValueError(f"{kind} requires the {reg} regularizer")
+    if kind == "figure1" and not config.k_folds:
+        raise ValueError("figure1 requires a nonempty k_folds list")
+
+
 def run_table1(config, model, opts=None, threads=1):
     """Elastic-net linear study: MSE of exact LO against the linear oracle."""
-    if config.family != "linear":
-        raise ValueError("table1 requires the linear family")
-    if model.reg.family != "elastic_net":
-        raise ValueError("table1 requires the elastic_net regularizer")
+    check_study("table1", config, model)
     return _run_table("table1", config, model, opts, threads)
 
 
 def run_table2(config, model, opts=None, threads=1):
     """Ridge-logistic study: MSE of exact LO plus the bound column."""
-    if config.family != "logistic":
-        raise ValueError("table2 requires the logistic family")
-    if model.reg.family != "ridge":
-        raise ValueError("table2 requires the ridge regularizer")
+    check_study("table2", config, model)
     return _run_table("table2", config, model, opts, threads)
 
 
@@ -208,10 +229,7 @@ def run_figure1(config, model, opts=None, threads=1):
     Rows hold the mean estimate per estimator (mse field) and its standard
     error (mse_se field), in full-squared-error units, ordered for plotting.
     """
-    if config.family != "linear":
-        raise ValueError("figure1 requires the linear family")
-    if not config.k_folds:
-        raise ValueError("figure1 requires a nonempty k_folds list")
+    check_study("figure1", config, model)
     opts = _solver_opts(opts)
     lambdas = config.lambdas if config.lambdas else (model.lam,)
     n = config.ns[0]

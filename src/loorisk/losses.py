@@ -21,14 +21,6 @@ FAMILIES = (
     "negative_binomial",
 )
 
-# Families with a uniform bound on |d ell/dz|; the value is the constant
-# used by the bound formulas, not the tightest pointwise bound.
-_UNIFORM_D1_BOUND = {
-    "logistic": 2.0,
-    "pseudo_huber": None,  # equals huber_scale, filled in per spec instance
-    "smoothed_abs": 1.0,
-}
-
 _COUNT_FAMILIES = ("poisson_softrect", "negative_binomial")
 
 # Poisson mean f(z) -> 0 as z -> -inf; the loss value diverges for y > 0.
@@ -85,6 +77,45 @@ def _check_response(spec, y):
             raise ValueError(f"{spec.family} requires nonnegative integer responses")
 
 
+def _loss_terms(spec, y, z):
+    """Loss value and first two derivatives in z, as plain array maths.
+
+    Unchecked: y must lie in the response domain and z be finite.  loss_eval
+    checks both; fit and the estimators check y once on entry.
+    """
+    f = spec.family
+    if f == "squared":
+        r = z - y
+        return 0.5 * r * r, r, np.ones_like(r)
+    if f == "logistic":
+        s = expit(z)
+        return _softplus(z) - y * z, s - y, s * (1.0 - s)
+    if f == "pseudo_huber":
+        g = spec.huber_scale
+        u = y - z
+        w = np.sqrt(1.0 + (u / g) ** 2)
+        return g * g * (w - 1.0), -u / w, w**-3
+    if f == "smoothed_abs":
+        g = spec.smooth_scale
+        u = y - z
+        t = np.tanh(0.5 * g * u)
+        value = (_softplus(g * u) + _softplus(-g * u)) / g
+        return value, -t, 0.5 * g * (1.0 - t * t)
+    if f == "poisson_softrect":
+        mean = np.maximum(_softplus(z), _MEAN_FLOOR)
+        slope = expit(z)
+        curv = slope * (1.0 - slope)
+        ratio = y / mean
+        d2 = curv * (1.0 - ratio) + y * (slope / mean) ** 2
+        return mean - y * np.log(mean), slope * (1.0 - ratio), d2
+    # negative_binomial, exponential link, constant C(alpha, y) dropped
+    a = spec.shape
+    zs = z + np.log(a)
+    s = expit(zs)
+    value = (y + 1.0 / a) * _softplus(zs) - y * z
+    return value, (y + 1.0 / a) * s - y, (y + 1.0 / a) * s * (1.0 - s)
+
+
 def loss_eval(spec, y, z):
     """Evaluate the loss and its first two derivatives in z.
 
@@ -97,55 +128,15 @@ def loss_eval(spec, y, z):
     Returns
     -------
     (value, d1, d2) : each with the broadcast shape of (y, z); python floats
-    for scalar input.  d2 >= 0 everywhere (convexity in z).
+    for scalar input.  d2 >= 0 everywhere (convexity in z).  Raises
+    ValueError for a response outside the domain or a non-finite z.
     """
     y_arr = np.asarray(y, dtype=float)
     z_arr = np.asarray(z, dtype=float)
     _check_response(spec, y_arr)
     if not np.all(np.isfinite(z_arr)):
         raise ValueError("non-finite linear predictor")
-
-    f = spec.family
-    if f == "squared":
-        r = z_arr - y_arr
-        value = 0.5 * r * r
-        d1 = r
-        d2 = np.ones_like(r)
-    elif f == "logistic":
-        s = expit(z_arr)
-        value = _softplus(z_arr) - y_arr * z_arr
-        d1 = s - y_arr
-        d2 = s * (1.0 - s)
-    elif f == "pseudo_huber":
-        g = spec.huber_scale
-        u = y_arr - z_arr
-        w = np.sqrt(1.0 + (u / g) ** 2)
-        value = g * g * (w - 1.0)
-        d1 = -u / w
-        d2 = w**-3
-    elif f == "smoothed_abs":
-        g = spec.smooth_scale
-        u = y_arr - z_arr
-        value = (_softplus(g * u) + _softplus(-g * u)) / g
-        t = np.tanh(0.5 * g * u)
-        d1 = -t
-        d2 = 0.5 * g * (1.0 - t * t)
-    elif f == "poisson_softrect":
-        mean = np.maximum(_softplus(z_arr), _MEAN_FLOOR)
-        slope = expit(z_arr)
-        curv = slope * (1.0 - slope)
-        value = mean - y_arr * np.log(mean)
-        ratio = y_arr / mean
-        d1 = slope * (1.0 - ratio)
-        d2 = curv * (1.0 - ratio) + y_arr * (slope / mean) ** 2
-    else:  # negative_binomial, exponential link, constant C(alpha, y) dropped
-        a = spec.shape
-        zs = z_arr + np.log(a)
-        s = expit(zs)
-        value = (y_arr + 1.0 / a) * _softplus(zs) - y_arr * z_arr
-        d1 = (y_arr + 1.0 / a) * s - y_arr
-        d2 = (y_arr + 1.0 / a) * s * (1.0 - s)
-
+    value, d1, d2 = _loss_terms(spec, y_arr, z_arr)
     if np.isscalar(y) and np.isscalar(z):
         return float(value), float(d1), float(d2)
     return value, d1, d2
@@ -156,8 +147,8 @@ def loss_derivative_bound(spec):
 
     Squared, soft-rectified Poisson and negative binomial losses have
     unbounded first derivatives (only moment bounds exist); for those the
-    function returns None.
+    function returns None.  The value is the constant the bound formulas
+    use, not the tightest pointwise bound.
     """
-    if spec.family == "pseudo_huber":
-        return spec.huber_scale
-    return _UNIFORM_D1_BOUND.get(spec.family)
+    bounds = {"logistic": 2.0, "pseudo_huber": spec.huber_scale, "smoothed_abs": 1.0}
+    return bounds.get(spec.family)

@@ -84,13 +84,11 @@ def reg_eval(spec, beta):
         raise ValueError(f"reg_eval requires a smooth family, got {spec.family}")
     beta = np.asarray(beta, dtype=float)
     if spec.family == "ridge":
-        return 0.5 * float(beta @ beta), beta.copy(), np.ones_like(beta)
-    m, a = spec.mix, spec.smooth_sharpness
-    v, t, curv = _smooth_abs_parts(beta, a)
-    value = float(m * beta @ beta + (1.0 - m) * np.sum(v))
-    grad = 2.0 * m * beta + (1.0 - m) * t
-    hess = 2.0 * m + (1.0 - m) * curv
-    return value, grad, hess
+        grad = beta.copy()
+    else:
+        _, t, _ = _smooth_abs_parts(beta, spec.smooth_sharpness)
+        grad = 2.0 * spec.mix * beta + (1.0 - spec.mix) * t
+    return reg_value(spec, beta), grad, reg_curvature_diag(spec, beta)
 
 
 def prox_step(spec, v, step, lam):

@@ -4,7 +4,8 @@ refits yields one refit per held-out group of rows, warm-started at the
 full-data solution; it is the only loop over held-out sets.  lo_exact holds
 out each row, kfold_cv each fold of a seeded shuffle, and both score the
 held-out rows against their refit.  alo replaces the refits with a single
-factorization plus rank-one leverage corrections.
+factorization plus rank-one leverage corrections.  Each estimator checks
+the responses once on entry and scores with the unchecked loss kernel.
 """
 
 from __future__ import annotations
@@ -15,8 +16,8 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 
-from .losses import loss_eval
-from .regularizers import reg_curvature_diag, reg_eval
+from .losses import _check_response, _loss_terms
+from .regularizers import reg_curvature_diag
 from .solver import SolverError, _weighted_gram, fit, fit_leave_one_out
 
 log = logging.getLogger(__name__)
@@ -41,21 +42,10 @@ class RiskReport:
     n_flagged: int = 0
 
 
-def _phi_values(model, y, z):
-    values, _, _ = loss_eval(model.phi_spec, y, z)
-    return np.asarray(values, dtype=float)
-
-
 def _aggregate(per_sample):
     finite = np.isfinite(per_sample)
-    n_flagged = int(per_sample.size - np.count_nonzero(finite))
-    if n_flagged == 0:
-        estimate = float(np.mean(per_sample))
-    elif np.any(finite):
-        estimate = float(np.mean(per_sample[finite]))
-    else:
-        estimate = float("nan")
-    return estimate, n_flagged
+    estimate = float(np.mean(per_sample[finite])) if finite.any() else float("nan")
+    return estimate, int(per_sample.size - np.count_nonzero(finite))
 
 
 def refits(data, model, groups, full_fit, opts=None):
@@ -73,16 +63,17 @@ def refits(data, model, groups, full_fit, opts=None):
         yield rows, res
 
 
-def _refit_report(data, model, groups, full, opts, method):
-    """Score every held-out row against the refit that left it out."""
+def _refit_report(data, model, groups, full_fit, opts, method):
+    """Score each held-out row against its refit; full_fit=None fits here."""
+    _check_response(model.phi_spec, data.y)
+    full = full_fit if full_fit is not None else fit(data, model, opts)
     if not full.converged:
         raise SolverError("full-data fit did not converge")
-    per_sample = np.empty(data.n)
+    z = np.empty(data.n)
     for rows, res in refits(data, model, groups, full, opts):
         for i in np.atleast_1d(rows):
-            per_sample[i] = _phi_values(
-                model, data.y[i], float(data.X[i] @ res.beta_hat)
-            )
+            z[i] = data.X[i] @ res.beta_hat
+    per_sample, _, _ = _loss_terms(model.phi_spec, data.y, z)
     estimate, n_flagged = _aggregate(per_sample)
     return RiskReport(per_sample, estimate, method, n_flagged=n_flagged)
 
@@ -95,43 +86,20 @@ def lo_exact(data, model, opts=None, full_fit=None):
     """
     if data.n < 2:
         raise ValueError("leave-one-out requires n >= 2")
-    full = full_fit if full_fit is not None else fit(data, model, opts)
-    return _refit_report(data, model, range(data.n), full, opts, "lo_exact")
+    return _refit_report(data, model, range(data.n), full_fit, opts, "lo_exact")
 
 
-def _leverage_smooth(data, model, beta, d2):
-    A = _weighted_gram(data.X, d2)
-    idx = np.diag_indices_from(A)
-    _, _, reg_hess = reg_eval(model.reg, beta)
-    A[idx] += model.lam * reg_hess
+def _leverage(Xs, d2, curvature):
+    """q_i = x_i^T A^{-1} x_i with A = Xs^T diag(d2) Xs + diag(curvature)."""
+    if Xs.shape[1] == 0:
+        return np.zeros(Xs.shape[0])
+    A = _weighted_gram(Xs, d2, curvature)
     try:
-        factor = cho_factor(A, lower=True)
+        factor = cho_factor(A, lower=True, check_finite=False)
     except LinAlgError as exc:
         raise SolverError("singular curvature matrix in ALO") from exc
-    W = cho_solve(factor, data.X.T)
-    return np.einsum("ij,ji->i", data.X, W) * d2
-
-
-def _leverage_l1(data, model, beta, d2, active_tol):
-    scale = float(np.max(np.abs(beta))) if beta.size else 0.0
-    active = np.flatnonzero(np.abs(beta) > active_tol * scale)
-    if active.size == 0:
-        return np.zeros(data.n), active
-    if active.size > data.n:
-        raise SolverError(
-            f"active set of size {active.size} exceeds n={data.n}; "
-            "the restricted curvature matrix cannot be inverted"
-        )
-    Xs = data.X[:, active]
-    A = _weighted_gram(Xs, d2)
-    idx = np.diag_indices_from(A)
-    A[idx] += model.lam * reg_curvature_diag(model.reg, beta[active])
-    try:
-        factor = cho_factor(A, lower=True)
-    except LinAlgError as exc:
-        raise SolverError("singular active-set curvature matrix in ALO") from exc
-    W = cho_solve(factor, Xs.T)
-    return np.einsum("ij,ji->i", Xs, W) * d2, active
+    W = cho_solve(factor, Xs.T, check_finite=False)
+    return np.einsum("ij,ji->i", Xs, W)
 
 
 def alo(data, model, full_fit, active_tol=1e-8):
@@ -145,30 +113,34 @@ def alo(data, model, full_fit, active_tol=1e-8):
     """
     if not full_fit.converged:
         raise ValueError("alo requires a converged full fit")
+    _check_response(model.loss, data.y)
+    _check_response(model.phi_spec, data.y)
     beta = np.asarray(full_fit.beta_hat, dtype=float)
     z = data.X @ beta
-    _, d1, d2 = loss_eval(model.loss, data.y, z)
+    _, d1, d2 = _loss_terms(model.loss, data.y, z)
 
-    active = None
     if model.reg.is_smooth:
-        if np.any(d2 <= 0):
-            raise SolverError("ALO smooth path requires positive loss curvature")
-        h = _leverage_smooth(data, model, beta, d2)
+        active, Xs, beta_s = None, data.X, beta
     else:
-        h, active = _leverage_l1(data, model, beta, d2, active_tol)
-        if np.any((h < 0) | (h >= 1)):
-            log.warning(
-                "l1 ALO leverage outside [0, 1): min=%g max=%g",
-                float(np.min(h)),
-                float(np.max(h)),
+        scale = float(np.max(np.abs(beta))) if beta.size else 0.0
+        active = np.flatnonzero(np.abs(beta) > active_tol * scale)
+        if active.size > data.n:
+            raise SolverError(
+                f"active set of size {active.size} exceeds n={data.n}; "
+                "the restricted curvature matrix cannot be inverted"
             )
+        Xs, beta_s = data.X[:, active], beta[active]
+    q = _leverage(Xs, d2, model.lam * reg_curvature_diag(model.reg, beta_s))
+    h = d2 * q
+    if active is not None and np.any((h < 0) | (h >= 1)):
+        log.warning("l1 ALO leverage outside [0, 1): min=%g max=%g", h.min(), h.max())
 
-    at_pole = h >= 1.0 - _POLE_TOL
+    # x_i^T beta_/i ~ z_i + q_i ell'_i / (1 - h_i): no division by ell'', so
+    # rows whose curvature underflows to 0 keep a finite correction
+    ok = h < 1.0 - _POLE_TOL
     per_sample = np.full(data.n, np.inf)
-    ok = ~at_pole
-    with np.errstate(divide="ignore", invalid="ignore"):
-        correction = np.where(ok, h / (1.0 - h), 0.0) * d1 / d2
-    per_sample[ok] = _phi_values(model, data.y[ok], z[ok] + correction[ok])
+    z_loo = z[ok] + q[ok] * d1[ok] / (1.0 - h[ok])
+    per_sample[ok] = _loss_terms(model.phi_spec, data.y[ok], z_loo)[0]
     estimate, n_flagged = _aggregate(per_sample)
     if n_flagged:
         log.warning("%d ALO entries at the leverage pole were flagged", n_flagged)
@@ -183,17 +155,17 @@ def fold_assignments(n, K, seed):
     sizes = np.full(K, n // K)
     sizes[: n % K] += 1
     labels = np.empty(n, dtype=int)
-    start = 0
-    for fold, size in enumerate(sizes):
-        labels[perm[start : start + size]] = fold
-        start += size
+    labels[perm] = np.repeat(np.arange(K), sizes)
     return labels
 
 
-def kfold_cv(data, model, K, seed, opts=None):
-    """K-fold cross validation; K = n reproduces lo_exact exactly."""
+def kfold_cv(data, model, K, seed, opts=None, full_fit=None):
+    """K-fold cross validation; K = n reproduces lo_exact exactly.
+
+    full_fit, when given, is the refits' warm start, as in lo_exact.
+    """
     if not 2 <= K <= data.n:
         raise ValueError("K must satisfy 2 <= K <= n")
     labels = fold_assignments(data.n, K, seed)
     folds = [np.flatnonzero(labels == fold) for fold in range(K)]
-    return _refit_report(data, model, folds, fit(data, model, opts), opts, "kfold")
+    return _refit_report(data, model, folds, full_fit, opts, "kfold")

@@ -20,7 +20,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 
-from .losses import LossSpec, loss_eval
+from .losses import LossSpec, _check_response, _loss_terms
 from .regularizers import RegSpec, prox_step, reg_eval, reg_value
 
 log = logging.getLogger(__name__)
@@ -120,19 +120,27 @@ class FitResult:
 
 
 def objective(data, model, beta):
-    """Penalized objective sum_i ell(y_i | x_i beta) + lam * r(beta)."""
+    """Penalized objective sum_i ell(y_i | x_i beta) + lam * r(beta).
+
+    Unchecked: data.y must lie in the loss domain (fit checks it).
+    """
     beta = np.asarray(beta, dtype=float)
-    values, _, _ = loss_eval(model.loss, data.y, data.X @ beta)
+    values, _, _ = _loss_terms(model.loss, data.y, data.X @ beta)
     return float(np.sum(values) + model.lam * reg_value(model.reg, beta))
 
 
-def _weighted_gram(X, w):
-    """X^T diag(w) X as a full symmetric matrix (w >= 0)."""
+def _weighted_gram(X, w, shift):
+    """X^T diag(w) X + diag(shift) as a full symmetric matrix (w >= 0).
+
+    The one builder of the penalized Hessian X^T diag(ell'') X + lam diag(r'')
+    for Newton steps, ALO leverages and the segment-Hessian audit.
+    """
     B = X * np.sqrt(w)[:, None]
     C = dsyrk(1.0, B, trans=1, lower=1)
     A = C + C.T
     idx = np.diag_indices_from(A)
     A[idx] -= C[idx]
+    A[idx] += shift
     return A
 
 
@@ -156,15 +164,11 @@ def _fit_newton(data, model, opts, beta0):
     beta = beta0
 
     def evaluate(b):
-        values, d1, d2 = loss_eval(model.loss, y, X @ b)
+        values, d1, d2 = _loss_terms(model.loss, y, X @ b)
         rv, rg, rh = reg_eval(model.reg, b)
         obj = float(np.sum(values) + lam * rv)
         grad = X.T @ d1 + lam * rg
         return obj, grad, d2, rh
-
-    def obj_at(b):
-        values, _, _ = loss_eval(model.loss, y, X @ b)
-        return float(np.sum(values) + lam * reg_value(model.reg, b))
 
     obj, grad, d2, rh = evaluate(beta)
     gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
@@ -175,11 +179,9 @@ def _fit_newton(data, model, opts, beta0):
         if gnorm <= opts.tol:
             return FitResult(beta, obj, gnorm, it, True)
         if factor is None:
-            A = _weighted_gram(X, d2)
-            idx = np.diag_indices_from(A)
-            A[idx] += lam * rh
+            A = _weighted_gram(X, d2, lam * rh)
             try:
-                factor = cho_factor(A, lower=True)
+                factor = cho_factor(A, lower=True, check_finite=False)
             except LinAlgError:
                 log.warning("singular Newton system, falling back to gradient step")
                 factor = "gradient"
@@ -187,7 +189,7 @@ def _fit_newton(data, model, opts, beta0):
         if factor == "gradient":
             direction = -grad
         else:
-            direction = -cho_solve(factor, grad)
+            direction = -cho_solve(factor, grad, check_finite=False)
         slope = float(grad @ direction)
         if slope >= 0.0:
             direction = -grad
@@ -195,15 +197,16 @@ def _fit_newton(data, model, opts, beta0):
 
         # Armijo with rounding-level slack: near the solution the true
         # decrease falls below double-precision resolution of the objective
-        # and must not block the (locally convergent) full Newton step
+        # and must not block the (locally convergent) full Newton step.  A
+        # NaN candidate fails the test, so no non-finite iterate is accepted.
         noise = 1e-14 * (1.0 + abs(obj))
         t = 1.0
         cand = beta + direction
-        cand_obj = obj_at(cand)
-        while cand_obj > obj + _ARMIJO * t * slope + noise and t >= _MIN_STEP:
+        cand_obj = objective(data, model, cand)
+        while not cand_obj <= obj + _ARMIJO * t * slope + noise and t >= _MIN_STEP:
             t *= opts.line_search_shrink
             cand = beta + t * direction
-            cand_obj = obj_at(cand)
+            cand_obj = objective(data, model, cand)
         if t < _MIN_STEP:
             if stale:
                 factor = None  # retry from a fresh Hessian at the current point
@@ -227,7 +230,7 @@ def _fit_fista(data, model, opts, beta0):
     x = beta0
 
     def smooth(b):
-        values, d1, _ = loss_eval(model.loss, y, X @ b)
+        values, d1, _ = _loss_terms(model.loss, y, X @ b)
         return float(np.sum(values)), X.T @ d1
 
     def total(smooth_value, b):
@@ -237,7 +240,7 @@ def _fit_fista(data, model, opts, beta0):
         step = 1.0 / L
         return float(np.max(np.abs(b - prox_step(reg, b - step * gb, step, lam))))
 
-    _, _, d2 = loss_eval(model.loss, y, X @ x)
+    _, _, d2 = _loss_terms(model.loss, y, X @ x)
     L = max(_sigma_max_gram(X) * max(float(np.max(d2)), 1e-12), 1e-12)
 
     fx, gx = smooth(x)
@@ -290,10 +293,15 @@ def fit(data, model, opts=None, beta0=None):
     """Minimize the penalized objective from beta0 (zeros by default).
 
     Dispatches on the regularizer.  Returns a FitResult; non-convergence is
-    reported through the converged flag, never silently.
+    reported through the converged flag, never silently.  The input is
+    checked here, not in the iterations: ValueError for a response outside
+    the loss domain or a non-finite beta0.
     """
     opts = opts or SolverOpts()
+    _check_response(model.loss, data.y)
     beta0 = np.zeros(data.p) if beta0 is None else np.array(beta0, dtype=float)
+    if not np.all(np.isfinite(beta0)):
+        raise ValueError("non-finite beta0")
     solve = _fit_newton if model.reg.is_smooth else _fit_fista
     return solve(data, model, opts, beta0)
 

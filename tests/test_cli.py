@@ -197,3 +197,19 @@ def test_threads_env_fallback(table2_cfg, tmp_path, monkeypatch):
     out = tmp_path / "env"
     assert main(["simulate", "table2", "--config", str(table2_cfg),
                  "--out", str(out)]) == 0
+
+
+def test_loss_that_cannot_score_the_family_exits_2(tmp_path, capsys):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_LO.replace("loss = squared", "loss = logistic"))
+    assert main(["lo", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "family = linear" in err
+
+
+def test_simulate_on_a_config_the_study_cannot_run_exits_2(lo_cfg, capsys):
+    assert main(["simulate", "table2", "--config", str(lo_cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "table2 requires the logistic family" in err

@@ -1,8 +1,10 @@
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
 
+from loorisk import solver
 from loorisk.datagen import SimConfig
 from loorisk.experiments import (
     fit_loglog_slope,
@@ -13,7 +15,7 @@ from loorisk.experiments import (
 )
 from loorisk.losses import LossSpec
 from loorisk.regularizers import RegSpec
-from loorisk.solver import ModelSpec
+from loorisk.solver import ModelSpec, SolverError
 
 TABLE2_MODEL = ModelSpec(LossSpec("logistic"), RegSpec("ridge"), lam=0.1)
 TABLE1_MODEL = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=5.0)
@@ -166,3 +168,26 @@ def test_parallel_replicates_match_serial():
     for rs, rp in zip(serial.rows, parallel.rows):
         assert rs["mse"] == rp["mse"]
         assert rs["mse_se"] == rp["mse_se"]
+
+
+def test_figure1_names_the_replicate_of_a_failing_refit(monkeypatch):
+    config = SimConfig(
+        ns=(16,), p=30, k=3, sigma="identity", noise_var=2.0,
+        beta_dist="constant:0.23570226039551587", family="linear",
+        lam=1.0, reps=2, seed=13, k_folds=(3,),
+    )
+    model = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=1.0)
+    # a replicate makes 16 LO refits, then 3 fold refits: refit 37 is the
+    # second fold of replicate 1
+    real_fit = solver.fit
+    calls = []
+
+    def fake_fit(data, model, opts=None, beta0=None):
+        res = real_fit(data, model, opts, beta0)
+        calls.append(res)
+        return replace(res, converged=False) if len(calls) == 37 else res
+
+    monkeypatch.setattr(solver, "fit", fake_fit)
+    with pytest.raises(SolverError, match=r"did not converge \(n=16, rep=1\)$"):
+        run_figure1(config, model)
+    assert len(calls) == 37

@@ -3,6 +3,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from scipy.special import expit
+
 from loorisk import solver
 from loorisk.datagen import CovSpec, gen_beta_star, gen_design, gen_response
 from loorisk.losses import LossSpec, loss_eval
@@ -289,3 +291,91 @@ def test_alo_lo_gap_shrinks_with_n():
             diffs.append(abs(a.estimate - lo.estimate))
         gaps[n] = np.mean(diffs)
     assert gaps[100] / gaps[400] >= 1.5
+
+
+def saturated_logistic_instance():
+    # one near-separating column drives |x_i beta_hat| past ~37 on some
+    # rows, where the logistic curvature s (1 - s) is exactly 0
+    rng = np.random.default_rng(0)
+    n, p = 40, 60
+    X = rng.standard_normal((n, p)) / np.sqrt(n)
+    y = (rng.random(n) < 0.5).astype(float)
+    X[:, 0] = 100.0 * (2.0 * y - 1.0) * rng.random(n)
+    return Dataset(X, y)
+
+
+@pytest.mark.parametrize("reg", ["ridge", "l1"])
+def test_alo_on_rows_with_zero_loss_curvature(reg):
+    data = saturated_logistic_instance()
+    model = ModelSpec(LossSpec("logistic"), RegSpec(reg), lam=1.0)
+    full = fit(data, model, PROX_OPTS)
+    z = data.X @ full.beta_hat
+    s = expit(z)
+    d1, d2 = s - data.y, s * (1.0 - s)
+    assert np.any(d2 == 0.0)
+    # reference: q_i = x_{i,S}^T A^{-1} x_{i,S} on the active columns S,
+    # z_i + q_i d1_i / (1 - d2_i q_i), scored by the logistic loss
+    cols = np.arange(data.p) if reg == "ridge" else np.flatnonzero(full.beta_hat)
+    Xs = data.X[:, cols]
+    A = Xs.T @ (d2[:, None] * Xs)
+    if reg == "ridge":
+        A += model.lam * np.eye(data.p)
+    q = np.sum(Xs * np.linalg.solve(A, Xs.T).T, axis=1)
+    z_loo = z + q * d1 / (1.0 - d2 * q)
+    expected = np.logaddexp(0.0, z_loo) - data.y * z_loo
+
+    report = alo(data, model, full)
+    assert report.n_flagged == 0
+    assert np.allclose(report.per_sample, expected, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "model, instance, opts",
+    [
+        (None, lambda: logistic_ridge_instance(20, seed=10, lam=0.5), None),
+        (ENET_SQ, lambda: enet_instance(100), PROX_OPTS),
+    ],
+    ids=["logistic_ridge", "elastic_net"],
+)
+def test_kfold_reuses_a_given_full_fit(model, instance, opts):
+    data = instance()
+    if model is None:
+        data, model = data
+    full = fit(data, model, opts)
+    own = kfold_cv(data, model, K=5, seed=123, opts=opts)
+    given = kfold_cv(data, model, K=5, seed=123, opts=opts, full_fit=full)
+    assert np.array_equal(own.per_sample, given.per_sample)
+    assert own.estimate == given.estimate
+
+
+def test_nan_newton_candidate_is_never_accepted(monkeypatch):
+    # the loss kernel turns NaN at every point the refit without row 3
+    # tries after its warm start: the line search must reject each one, so
+    # the refit stops unconverged at the warm start and LO names the row
+    data = seeded_ridge_instance(8, 3, seed=14)
+    full = fit(data, RIDGE_SQ)
+    kept = np.delete(data.y, 3)
+    real_terms, real_fit = solver._loss_terms, solver.fit
+    poisoned_calls, refit_results = [], []
+
+    def poisoned_terms(spec, y, z):
+        value, d1, d2 = real_terms(spec, y, z)
+        if np.shape(y) == kept.shape and np.array_equal(y, kept):
+            poisoned_calls.append(z)
+            if len(poisoned_calls) > 1:
+                value = np.full_like(value, np.nan)
+        return value, d1, d2
+
+    def recording_fit(data, model, opts=None, beta0=None):
+        refit_results.append(real_fit(data, model, opts, beta0))
+        return refit_results[-1]
+
+    monkeypatch.setattr(solver, "_loss_terms", poisoned_terms)
+    monkeypatch.setattr(solver, "fit", recording_fit)
+    with pytest.raises(SolverError, match=r"rows \[3\] did not converge"):
+        lo_exact(data, RIDGE_SQ, full_fit=full)
+    assert len(poisoned_calls) > 1
+    failed = refit_results[-1]
+    assert not failed.converged
+    assert np.array_equal(failed.beta_hat, full.beta_hat)
+    assert np.isfinite(failed.objective)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loorisk import solver
 from loorisk.losses import LossSpec, loss_eval
 from loorisk.regularizers import RegSpec, prox_step, reg_value
 from loorisk.solver import (
@@ -245,3 +246,14 @@ def test_dataset_validation():
         fit_leave_one_out(Dataset(np.eye(2), np.zeros(2)), RIDGE_SQ, 5)
     with pytest.raises(ValueError):
         ModelSpec(LossSpec("squared"), RegSpec("ridge"), lam=0.0)
+
+
+def test_fit_checks_its_input_before_iterating(monkeypatch):
+    calls = []
+    monkeypatch.setattr(solver, "_loss_terms", lambda *args: calls.append(args))
+    off_domain = Dataset(np.eye(2), np.array([0.0, 2.0]))
+    with pytest.raises(ValueError, match="responses in"):
+        fit(off_domain, logistic_ridge_model(1.0))
+    with pytest.raises(ValueError, match="beta0"):
+        fit(Dataset(np.eye(2), np.zeros(2)), RIDGE_SQ, beta0=[0.0, np.nan])
+    assert calls == []
