@@ -4,25 +4,11 @@ A K-fold estimate scores models trained on (1 - 1/K) n rows, and in high
 dimensions every row carries real information, so the fold models are
 genuinely worse than the full fit.  Leave-one-out trains on n - 1 rows and
 tracks the oracle closely.  This is the desk-scale version of the
-comparison; estimates are in full-squared-error units.
+comparison, run through the figure1 study; estimates are in
+full-squared-error units.
 """
 
-import numpy as np
-
-from loorisk import (
-    Dataset,
-    LossSpec,
-    ModelSpec,
-    RegSpec,
-    SimConfig,
-    SolverOpts,
-    TrueModel,
-    err_out_linear,
-    fit,
-    gen_replicate,
-    kfold_cv,
-    lo_exact,
-)
+from loorisk import LossSpec, ModelSpec, RegSpec, SimConfig, run_figure1
 
 config = SimConfig(
     ns=(50,), p=200, k=10, sigma="identity", noise_var=2.0,
@@ -30,25 +16,10 @@ config = SimConfig(
     family="linear", lam=1.0, reps=12, seed=3, k_folds=(3, 5, 7),
 )
 model = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=1.0)
-opts = SolverOpts(max_iter=20000)
-
-estimates = {"kfold3": [], "kfold5": [], "kfold7": [], "lo": [], "oracle": []}
-for rep in range(config.reps):
-    X, beta_star, y, cov = gen_replicate(config, 50, rep)
-    data = Dataset(X, y)
-    full = fit(data, model, opts)
-    truth = TrueModel(beta_star, cov, noise_var=2.0, family="linear")
-    estimates["oracle"].append(err_out_linear(full.beta_hat, truth))
-    estimates["lo"].append(2.0 * lo_exact(data, model, opts, full_fit=full).estimate)
-    for K in (3, 5, 7):
-        cv = kfold_cv(data, model, K, seed=1000 + rep, opts=opts)
-        estimates[f"kfold{K}"].append(2.0 * cv.estimate)
 
 print(f"{'estimator':>10s}  {'mean':>7s}  {'se':>6s}")
-for name in ("kfold3", "kfold5", "kfold7", "lo", "oracle"):
-    values = np.array(estimates[name])
-    se = values.std(ddof=1) / np.sqrt(values.size)
-    print(f"{name:>10s}  {values.mean():7.3f}  {se:6.3f}")
+for row in run_figure1(config, model).rows:
+    print(f"{row['estimator']:>10s}  {row['mse']:7.3f}  {row['mse_se']:6.3f}")
 
 print()
 print("The bias shrinks as K grows and vanishes for LO, which stays within")

@@ -29,7 +29,14 @@ from .bounds import (
     compute_Cv_logistic,
     pick_audit_indices,
 )
-from .datagen import SimConfig, gen_replicate
+from .datagen import SimConfig
+from .experiments import (
+    _fitted_replicate,
+    check_study,
+    run_figure1,
+    run_table1,
+    run_table2,
+)
 from .losses import LossSpec, _check_response, loss_derivative_bound, loss_eval
 from .regularizers import RegSpec
 from .reporting import write_results
@@ -62,8 +69,13 @@ def _parse_scalar(parser, section, key, cast, default=None, required=False):
         raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
 
 
-def _parse_list(raw, cast):
-    return tuple(cast(tok.strip()) for tok in raw.split(",") if tok.strip())
+def _list_of(cast):
+    """A cast for a comma-separated list of cast values."""
+
+    def parse(raw):
+        return tuple(cast(tok.strip()) for tok in raw.split(",") if tok.strip())
+
+    return parse
 
 
 def load_config_text(text, source="<config>"):
@@ -77,22 +89,8 @@ def load_config_text(text, source="<config>"):
         if not parser.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
 
-    ns_raw = parser.get("design", "ns", fallback=None)
-    if ns_raw is None:
-        raise ConfigError("[design] is missing required key 'ns'")
-    try:
-        ns = _parse_list(ns_raw, int)
-    except ValueError as exc:
-        raise ConfigError(f"[design] ns = {ns_raw!r}: {exc}") from exc
-
+    ns = _parse_scalar(parser, "design", "ns", _list_of(int), required=True)
     exp = "experiment"
-    k_folds = None
-    if parser.has_option(exp, "k_folds"):
-        k_folds = _parse_list(parser.get(exp, "k_folds"), int)
-    lambdas = None
-    if parser.has_option(exp, "lambdas"):
-        lambdas = _parse_list(parser.get(exp, "lambdas"), float)
-
     lam = _parse_scalar(parser, "model", "lambda", float, required=True)
     try:
         sim = SimConfig(
@@ -108,8 +106,8 @@ def load_config_text(text, source="<config>"):
             lam=lam,
             reps=_parse_scalar(parser, exp, "reps", int, 1),
             seed=_parse_scalar(parser, exp, "seed", int, 0),
-            k_folds=k_folds,
-            lambdas=lambdas,
+            k_folds=_parse_scalar(parser, exp, "k_folds", _list_of(int)),
+            lambdas=_parse_scalar(parser, exp, "lambdas", _list_of(float)),
             shape=_parse_scalar(parser, "design", "shape", float),
         )
     except ValueError as exc:
@@ -141,8 +139,10 @@ def load_config_text(text, source="<config>"):
 
     try:
         opts = SolverOpts(
-            tol=_parse_scalar(parser, "solver", "tol", float, 1e-9),
-            max_iter=_parse_scalar(parser, "solver", "max_iter", int, 20000),
+            tol=_parse_scalar(parser, "solver", "tol", float, SolverOpts.tol),
+            max_iter=_parse_scalar(
+                parser, "solver", "max_iter", int, SolverOpts.max_iter
+            ),
         )
     except ValueError as exc:
         raise ConfigError(f"[solver]: {exc}") from exc
@@ -189,14 +189,18 @@ def _threads(args):
     return 1
 
 
-def _single_cell(sim, model, opts):
-    """Data for the first n of the sweep, for the one-shot subcommands."""
-    n = sim.ns[0]
-    X, beta_star, y, cov = gen_replicate(sim, n, 0)
-    return Dataset(X, y), beta_star, cov
+def _first_replicate(args):
+    """Config plus replicate 0 of the first n, for the one-shot subcommands.
+
+    Returns (sim, model, opts, data, cov, full) with a converged full fit.
+    """
+    sim, model, opts = load_config(args.config, args.preset)
+    sim, opts = _apply_overrides(args, sim, opts)
+    data, _, cov, full = _fitted_replicate(sim, model, sim.ns[0], 0, opts)
+    return sim, model, opts, data, cov, full
 
 
-def _manifest_info(args, out_dir):
+def _manifest_info(args):
     return {
         "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.command,
         "config_path": getattr(args, "config", None) or getattr(args, "preset", None),
@@ -208,17 +212,12 @@ def _emit(result, args, summary_lines):
     for line in summary_lines:
         print(line)
     if args.out:
-        paths = write_results(result, args.out, _manifest_info(args, args.out))
+        paths = write_results(result, args.out, _manifest_info(args))
         print(f"wrote {', '.join(str(p) for p in paths)}")
 
 
 def _cmd_fit(args):
-    sim, model, opts = load_config(args.config, args.preset)
-    sim, opts = _apply_overrides(args, sim, opts)
-    data, _, _ = _single_cell(sim, model, opts)
-    result = fit(data, model, opts)
-    if not result.converged:
-        raise SolverError("fit did not converge")
+    *_, result = _first_replicate(args)
     _emit(
         result,
         args,
@@ -232,18 +231,13 @@ def _cmd_fit(args):
 
 
 def _cmd_risk(args):
-    sim, model, opts = load_config(args.config, args.preset)
-    sim, opts = _apply_overrides(args, sim, opts)
-    data, _, _ = _single_cell(sim, model, opts)
+    sim, model, opts, data, _, full = _first_replicate(args)
     if args.command == "lo":
-        report = lo_exact(data, model, opts)
+        report = lo_exact(data, model, opts, full_fit=full)
     elif args.command == "alo":
-        full = fit(data, model, opts)
-        if not full.converged:
-            raise SolverError("full fit did not converge")
         report = alo(data, model, full)
     else:
-        report = kfold_cv(data, model, args.k, sim.seed, opts)
+        report = kfold_cv(data, model, args.k, sim.seed, opts, full_fit=full)
     _emit(report, args, [f"{report.method} estimate: {report.estimate:.10g}"])
     return 0
 
@@ -271,12 +265,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_audit(args):
-    sim, model, opts = load_config(args.config, args.preset)
-    sim, opts = _apply_overrides(args, sim, opts)
-    data, _, cov = _single_cell(sim, model, opts)
-    full = fit(data, model, opts)
-    if not full.converged:
-        raise SolverError("full fit did not converge")
+    _, model, opts, data, cov, full = _first_replicate(args)
     indices = pick_audit_indices(data.n, args.sample_i)
     loo = dict(refits(data, model, indices, full, opts))
     audit = audit_assumptions(data, model, full, loo, t_grid_size=args.t_grid)
@@ -311,8 +300,6 @@ def _cmd_audit(args):
 
 
 def _cmd_simulate(args):
-    from .experiments import check_study, run_figure1, run_table1, run_table2
-
     sim, model, opts = load_config(args.config, args.preset)
     sim, opts = _apply_overrides(args, sim, opts)
     try:

@@ -103,12 +103,6 @@ class CovSpec:
         """p * sigma_max(Sigma), the covariance scale constant."""
         return p * self.sigma_max(p)
 
-    def to_dict(self):
-        d = {"kind": self.kind, "scale": self.scale}
-        if self.matrix is not None:
-            d["matrix"] = self.matrix.tolist()
-        return d
-
 
 def gen_design(n, p, sigma_spec, seed):
     """n x p matrix with i.i.d. N(0, Sigma) rows, deterministic per seed."""
@@ -230,25 +224,6 @@ class SimConfig:
         if self.sigma.startswith("scale:"):
             return CovSpec("scaled_identity", float(self.sigma.split(":", 1)[1]))
         raise ValueError(f"unknown sigma spec {self.sigma!r}")
-
-    def to_dict(self):
-        return {
-            "ns": list(self.ns),
-            "p": self.p,
-            "p_ratio": self.p_ratio,
-            "k": self.k,
-            "k_ratio": self.k_ratio,
-            "sigma": self.sigma,
-            "noise_var": self.noise_var,
-            "beta_dist": self.beta_dist,
-            "family": self.family,
-            "lam": self.lam,
-            "reps": self.reps,
-            "seed": self.seed,
-            "k_folds": list(self.k_folds) if self.k_folds is not None else None,
-            "lambdas": list(self.lambdas) if self.lambdas is not None else None,
-            "shape": self.shape,
-        }
 
 
 def gen_replicate(config, n, rep):

@@ -10,8 +10,8 @@ from __future__ import annotations
 
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
-from functools import partial
+from contextlib import nullcontext
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -19,11 +19,7 @@ from .bounds import compute_Cv_logistic
 from .datagen import SimConfig, derive_seed, gen_replicate
 from .oracles import TrueModel, err_out_linear, err_out_logistic
 from .risk import kfold_cv, lo_exact
-from .solver import Dataset, ModelSpec, SolverError, SolverOpts, fit
-
-# l1-composite fits need plenty of cheap proximal iterations at tight
-# tolerances; Newton never gets near this cap
-_EXPERIMENT_MAX_ITER = 20000
+from .solver import Dataset, SolverError, fit
 
 
 @dataclass
@@ -34,14 +30,6 @@ class ExperimentResult:
     rows: list
     slope_fit: dict | None
     config_echo: SimConfig
-
-    def to_dict(self):
-        return {
-            "kind": self.kind,
-            "rows": self.rows,
-            "slope_fit": self.slope_fit,
-            "config_echo": self.config_echo.to_dict(),
-        }
 
 
 def mse_of_estimator(err_out_values, estimates):
@@ -56,11 +44,15 @@ def mse_of_estimator(err_out_values, estimates):
         raise ValueError("inputs must be equal-length vectors")
     if err_out_values.size < 1:
         raise ValueError("need at least one replicate")
-    sq = (err_out_values - estimates) ** 2
-    mse = float(np.mean(sq))
-    if sq.size == 1:
-        return mse, None
-    return mse, float(np.std(sq, ddof=1) / np.sqrt(sq.size))
+    return _mean_se((err_out_values - estimates) ** 2)
+
+
+def _mean_se(values):
+    """Mean and standard error of a sample; the SE is None for one value."""
+    mean = float(np.mean(values))
+    if values.size == 1:
+        return mean, None
+    return mean, float(np.std(values, ddof=1) / np.sqrt(values.size))
 
 
 def fit_loglog_slope(ns, mses):
@@ -95,132 +87,135 @@ def fit_loglog_slope(ns, mses):
     }
 
 
-def _solver_opts(opts):
-    if opts is not None:
-        return opts
-    return SolverOpts(max_iter=_EXPERIMENT_MAX_ITER)
-
-
-def _table_replicate(args):
-    """One (n, rep) cell of a table run: (err_out in phi units, LO estimate)."""
-    kind, config, model, n, rep, opts = args
+def _fitted_replicate(config, model, n, rep, opts=None):
+    """(data, beta_star, cov, converged full fit) of replicate rep at n."""
     X, beta_star, y, cov = gen_replicate(config, n, rep)
     data = Dataset(X, y)
     full = fit(data, model, opts)
     if not full.converged:
         raise SolverError("full fit did not converge")
-    lo = lo_exact(data, model, opts, full_fit=full)
-    if kind == "table1":
-        truth = TrueModel(beta_star, cov, noise_var=config.noise_var, family="linear")
-        # phi is the half squared error; the closed form is full-square
-        err = 0.5 * err_out_linear(full.beta_hat, truth)
-    else:
-        truth = TrueModel(beta_star, cov, family="logistic")
-        err = err_out_logistic(full.beta_hat, truth)
-    return err, lo.estimate
+    return data, beta_star, cov, full
 
 
-def _figure1_replicate(args):
-    """One replicate of the K-fold comparison, in full-squared-error units."""
-    _, config, model, n, rep, opts = args
-    X, beta_star, y, cov = gen_replicate(config, n, rep)
-    data = Dataset(X, y)
-    full = fit(data, model, opts)
-    if not full.converged:
-        raise SolverError("full fit did not converge")
-    truth = TrueModel(beta_star, cov, noise_var=config.noise_var, family="linear")
-    out = {"oracle": err_out_linear(full.beta_hat, truth)}
-    # LO / K-fold average the half-squared-error loss; report the full square
-    lo = lo_exact(data, model, opts, full_fit=full)
-    out["lo_exact"] = 2.0 * lo.estimate
-    for K in config.k_folds:
-        fold_seed = derive_seed(config.seed, n, rep, K)
-        cv = kfold_cv(data, model, K, fold_seed, opts, full_fit=full)
-        out[f"kfold{K}"] = 2.0 * cv.estimate
+def _replicate(task):
+    """Oracle error, LO and (figure1) K-fold estimates of one replicate.
+
+    All values are in phi units; a SolverError names the replicate (n, rep).
+    """
+    kind, config, model, n, rep, opts = task
+    try:
+        data, beta_star, cov, full = _fitted_replicate(config, model, n, rep, opts)
+        if kind == "table2":
+            truth = TrueModel(beta_star, cov, family="logistic")
+            oracle = err_out_logistic(full.beta_hat, truth)
+        else:
+            truth = TrueModel(beta_star, cov, noise_var=config.noise_var)
+            # phi is the half squared error; the closed form is full-square
+            oracle = 0.5 * err_out_linear(full.beta_hat, truth)
+        lo = lo_exact(data, model, opts, full_fit=full)
+        out = {"oracle": oracle, "lo_exact": lo.estimate}
+        for K in config.k_folds if kind == "figure1" else ():
+            fold_seed = derive_seed(config.seed, n, rep, K)
+            cv = kfold_cv(data, model, K, fold_seed, opts, full_fit=full)
+            out[f"kfold{K}"] = cv.estimate
+    except SolverError as exc:
+        raise SolverError(f"{exc} (n={n}, rep={rep})") from exc
     return out
 
 
-def _named_replicate(worker, task):
-    """worker(task), with a SolverError naming the replicate (n, rep)."""
-    _, _, _, n, rep, _ = task
-    try:
-        return worker(task)
-    except SolverError as exc:
-        raise SolverError(f"{exc} (n={n}, rep={rep})") from exc
+def _cell_rows(kind, config, model, n, results, wall_time):
+    """Rows of one cell: the LO MSE for a table, each estimator's mean for figure1."""
+    p = config.p_for(n)
+    if kind == "figure1":
+        names = [f"kfold{K}" for K in config.k_folds] + ["lo_exact", "oracle"]
+        # the replicates hold half squared errors; report the full square
+        stats = {
+            name: _mean_se(np.array([2.0 * r[name] for r in results]))
+            for name in names
+        }
+    else:
+        oracle = [r["oracle"] for r in results]
+        stats = {"lo_exact": mse_of_estimator(oracle, [r["lo_exact"] for r in results])}
+    bound_over_n = None
+    if kind == "table2":
+        rho = config.sigma_for(n).rho(p)
+        bound_over_n = compute_Cv_logistic(rho, n / p, model.lam) / n
+    return [
+        {
+            "n": n,
+            "p": p,
+            "lam": model.lam,
+            "estimator": name,
+            "mse": mse,
+            "mse_se": mse_se,
+            "bound_over_n": bound_over_n,
+            "wall_time": wall_time,
+        }
+        for name, (mse, mse_se) in stats.items()
+    ]
 
 
-def _run_replicates(worker, tasks, threads):
-    run = partial(_named_replicate, worker)
-    if threads and threads > 1:
-        with ProcessPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(run, tasks))
-    return [run(task) for task in tasks]
+def _run_study(kind, config, model, opts, threads):
+    """Every cell of a study on one process pool (serial for threads <= 1).
 
-
-def _run_table(kind, config, model, opts, threads):
-    opts = _solver_opts(opts)
+    A table cell is one n; a figure1 cell is one lambda at the first n.
+    """
+    check_study(kind, config, model)
+    if kind == "figure1":
+        lambdas = config.lambdas or (model.lam,)
+        cells = [(config.ns[0], replace(model, lam=lam)) for lam in lambdas]
+    else:
+        cells = [(n, model) for n in config.ns]
+    parallel = (threads or 1) > 1
     rows = []
-    mses = []
-    for n in config.ns:
-        start = time.perf_counter()
-        tasks = [(kind, config, model, n, rep, opts) for rep in range(config.reps)]
-        results = _run_replicates(_table_replicate, tasks, threads)
-        errs = [r[0] for r in results]
-        los = [r[1] for r in results]
-        mse, mse_se = mse_of_estimator(errs, los)
-        p = config.p_for(n)
-        bound_over_n = None
-        if kind == "table2":
-            cov = config.sigma_for(n)
-            bound_over_n = compute_Cv_logistic(cov.rho(p), n / p, model.lam) / n
-        rows.append(
-            {
-                "n": n,
-                "p": p,
-                "lam": model.lam,
-                "estimator": "lo_exact",
-                "mse": mse,
-                "mse_se": mse_se,
-                "bound_over_n": bound_over_n,
-                "wall_time": time.perf_counter() - start,
-            }
-        )
-        mses.append(mse)
+    with ProcessPoolExecutor(threads) if parallel else nullcontext() as pool:
+        run = pool.map if parallel else map
+        for n, cell_model in cells:
+            start = time.perf_counter()
+            tasks = [(kind, config, cell_model, n, r, opts) for r in range(config.reps)]
+            results = list(run(_replicate, tasks))
+            wall = time.perf_counter() - start
+            rows += _cell_rows(kind, config, cell_model, n, results, wall)
     slope_fit = None
-    if len(config.ns) >= 3:
-        slope_fit = fit_loglog_slope(config.ns, mses)
+    if kind != "figure1" and len(config.ns) >= 3:
+        slope_fit = fit_loglog_slope(config.ns, [row["mse"] for row in rows])
     return ExperimentResult(kind, rows, slope_fit, config)
 
 
-# response family and regularizer each study is defined for (None: any)
+# response family, regularizer (None: any) and error-function loss of each
+# study; the loss is the one its oracle scores
 _STUDIES = {
-    "table1": ("linear", "elastic_net"),
-    "table2": ("logistic", "ridge"),
-    "figure1": ("linear", None),
+    "table1": ("linear", "elastic_net", "squared"),
+    "table2": ("logistic", "ridge", "logistic"),
+    "figure1": ("linear", None, "squared"),
 }
 
 
 def check_study(kind, config, model):
     """Raise ValueError when config and model do not fit the study kind."""
-    family, reg = _STUDIES[kind]
+    family, reg, phi = _STUDIES[kind]
     if config.family != family:
         raise ValueError(f"{kind} requires the {family} family")
     if reg is not None and model.reg.family != reg:
         raise ValueError(f"{kind} requires the {reg} regularizer")
-    if kind == "figure1" and not config.k_folds:
-        raise ValueError("figure1 requires a nonempty k_folds list")
+    if model.phi_spec.family != phi:
+        raise ValueError(f"{kind} requires the {phi} loss as its error function")
+    if kind == "figure1":
+        if not config.k_folds:
+            raise ValueError("figure1 requires a nonempty k_folds list")
+        n = config.ns[0]
+        if not all(2 <= K <= n for K in config.k_folds):
+            raise ValueError(f"figure1 requires 2 <= K <= n = {n} for every K")
 
 
 def run_table1(config, model, opts=None, threads=1):
     """Elastic-net linear study: MSE of exact LO against the linear oracle."""
-    check_study("table1", config, model)
-    return _run_table("table1", config, model, opts, threads)
+    return _run_study("table1", config, model, opts, threads)
 
 
 def run_table2(config, model, opts=None, threads=1):
     """Ridge-logistic study: MSE of exact LO plus the bound column."""
-    check_study("table2", config, model)
-    return _run_table("table2", config, model, opts, threads)
+    return _run_study("table2", config, model, opts, threads)
 
 
 def run_figure1(config, model, opts=None, threads=1):
@@ -229,36 +224,4 @@ def run_figure1(config, model, opts=None, threads=1):
     Rows hold the mean estimate per estimator (mse field) and its standard
     error (mse_se field), in full-squared-error units, ordered for plotting.
     """
-    check_study("figure1", config, model)
-    opts = _solver_opts(opts)
-    lambdas = config.lambdas if config.lambdas else (model.lam,)
-    n = config.ns[0]
-    p = config.p_for(n)
-    rows = []
-    for lam in lambdas:
-        lam_model = ModelSpec(model.loss, model.reg, lam, model.phi)
-        start = time.perf_counter()
-        tasks = [("figure1", config, lam_model, n, rep, opts) for rep in range(config.reps)]
-        results = _run_replicates(_figure1_replicate, tasks, threads)
-        wall = time.perf_counter() - start
-        names = [f"kfold{K}" for K in config.k_folds] + ["lo_exact", "oracle"]
-        for name in names:
-            values = np.array([r[name] for r in results])
-            se = (
-                float(np.std(values, ddof=1) / np.sqrt(values.size))
-                if values.size > 1
-                else None
-            )
-            rows.append(
-                {
-                    "n": n,
-                    "p": p,
-                    "lam": lam,
-                    "estimator": name,
-                    "mse": float(np.mean(values)),
-                    "mse_se": se,
-                    "bound_over_n": None,
-                    "wall_time": wall,
-                }
-            )
-    return ExperimentResult("figure1", rows, None, config)
+    return _run_study("figure1", config, model, opts, threads)

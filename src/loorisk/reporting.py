@@ -10,6 +10,7 @@ from __future__ import annotations
 import csv
 import hashlib
 import json
+from dataclasses import asdict
 from datetime import datetime, timezone
 from pathlib import Path
 
@@ -35,7 +36,7 @@ def format_real(x):
 def to_jsonable(obj):
     """Recursively convert a result object to JSON-serializable structures."""
     if isinstance(obj, ExperimentResult):
-        return {"type": "experiment", **to_jsonable(obj.to_dict())}
+        return {"type": "experiment", **to_jsonable(asdict(obj))}
     if isinstance(obj, RiskReport):
         return {
             "type": "risk",

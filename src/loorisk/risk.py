@@ -24,6 +24,9 @@ log = logging.getLogger(__name__)
 
 # leverage values this close to 1 put the correction at its pole
 _POLE_TOL = 1e-12
+# l1-family ALO keeps the coordinates whose magnitude exceeds this fraction
+# of the largest
+_ACTIVE_TOL = 1e-8
 
 
 @dataclass
@@ -102,12 +105,12 @@ def _leverage(Xs, d2, curvature):
     return np.einsum("ij,ji->i", Xs, W)
 
 
-def alo(data, model, full_fit, active_tol=1e-8):
+def alo(data, model, full_fit):
     """Approximate LO from the full-data fit via leverage corrections.
 
     Smooth regularizers use the full generalized hat matrix; l1-family
     regularizers restrict the design to the active set (coordinates whose
-    magnitude exceeds active_tol relative to the largest) and keep the
+    magnitude exceeds _ACTIVE_TOL relative to the largest) and keep the
     curvature of the penalty's quadratic part there (zero for pure l1).  Entries with
     leverage at the pole are flagged +inf, never silently dropped.
     """
@@ -123,7 +126,7 @@ def alo(data, model, full_fit, active_tol=1e-8):
         active, Xs, beta_s = None, data.X, beta
     else:
         scale = float(np.max(np.abs(beta))) if beta.size else 0.0
-        active = np.flatnonzero(np.abs(beta) > active_tol * scale)
+        active = np.flatnonzero(np.abs(beta) > _ACTIVE_TOL * scale)
         if active.size > data.n:
             raise SolverError(
                 f"active set of size {active.size} exceeds n={data.n}; "

@@ -26,6 +26,7 @@ from .regularizers import RegSpec, prox_step, reg_eval, reg_value
 log = logging.getLogger(__name__)
 
 _ARMIJO = 1e-4
+_LINE_SEARCH_SHRINK = 0.5
 _MIN_STEP = 1e-15
 # refresh the factorized Hessian when one step fails to cut the gradient
 # norm by at least this factor
@@ -92,16 +93,15 @@ class ModelSpec:
 @dataclass
 class SolverOpts:
     tol: float = 1e-9
-    max_iter: int = 500
-    line_search_shrink: float = 0.5
+    # l1-composite fits need plenty of cheap proximal iterations at tight
+    # tolerances; Newton never gets near this cap
+    max_iter: int = 20000
 
     def __post_init__(self):
         if not self.tol > 0:
             raise ValueError("tol must be positive")
         if self.max_iter < 1:
             raise ValueError("max_iter must be >= 1")
-        if not 0.0 < self.line_search_shrink < 1.0:
-            raise ValueError("line_search_shrink must be in (0, 1)")
 
 
 @dataclass
@@ -204,7 +204,7 @@ def _fit_newton(data, model, opts, beta0):
         cand = beta + direction
         cand_obj = objective(data, model, cand)
         while not cand_obj <= obj + _ARMIJO * t * slope + noise and t >= _MIN_STEP:
-            t *= opts.line_search_shrink
+            t *= _LINE_SEARCH_SHRINK
             cand = beta + t * direction
             cand_obj = objective(data, model, cand)
         if t < _MIN_STEP:

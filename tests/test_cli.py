@@ -88,6 +88,12 @@ def test_malformed_config_exits_2(tmp_path, capsys):
     bad.write_text("[design]\nns = forty\n[model]\nlambda = 0.1\n")
     assert main(["lo", "--config", str(bad)]) == 2
     assert "ns" in capsys.readouterr().err
+    for key, value in (("k_folds", "3, x"), ("lambdas", "1, y")):
+        bad.write_text(TINY_LO + f"{key} = {value}\n")
+        assert main(["lo", "--config", str(bad)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:")
+        assert key in err
 
 
 def test_missing_required_key_exits_2(tmp_path, capsys):
@@ -213,3 +219,11 @@ def test_simulate_on_a_config_the_study_cannot_run_exits_2(lo_cfg, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "table2 requires the logistic family" in err
+
+
+def test_simulate_on_a_loss_the_oracle_cannot_score_exits_2(table2_cfg, capsys):
+    table2_cfg.write_text(TINY_TABLE2.replace("loss = logistic", "loss = squared"))
+    assert main(["simulate", "table2", "--config", str(table2_cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "table2 requires the logistic loss" in err

@@ -161,13 +161,33 @@ def test_figure1_requires_folds():
         run_figure1(config, model)
 
 
+def tiny_figure1_config(**over):
+    base = dict(
+        ns=(16,), p=30, k=3, sigma="identity", noise_var=2.0,
+        beta_dist="constant:0.23570226039551587", family="linear",
+        lam=1.0, reps=2, seed=13, k_folds=(3,),
+    )
+    base.update(over)
+    return SimConfig(**base)
+
+
+FIGURE1_MODEL = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=1.0)
+
+
 def test_parallel_replicates_match_serial():
-    config = tiny_table2_config(reps=4)
-    serial = run_table2(config, TABLE2_MODEL, threads=1)
-    parallel = run_table2(config, TABLE2_MODEL, threads=2)
-    for rs, rp in zip(serial.rows, parallel.rows):
-        assert rs["mse"] == rp["mse"]
-        assert rs["mse_se"] == rp["mse_se"]
+    cases = [
+        (run_table2, tiny_table2_config(reps=4), TABLE2_MODEL),
+        (run_table2, tiny_table2_config(ns=(30, 40), reps=2), TABLE2_MODEL),
+        (run_figure1, tiny_figure1_config(lambdas=(0.5, 1.0)), FIGURE1_MODEL),
+    ]
+    for runner, config, model in cases:
+        serial = runner(config, model, threads=1)
+        parallel = runner(config, model, threads=2)
+        assert len(serial.rows) == len(parallel.rows)
+        for rs, rp in zip(serial.rows, parallel.rows):
+            rs.pop("wall_time")
+            rp.pop("wall_time")
+            assert rs == rp
 
 
 def test_figure1_names_the_replicate_of_a_failing_refit(monkeypatch):
@@ -191,3 +211,46 @@ def test_figure1_names_the_replicate_of_a_failing_refit(monkeypatch):
     with pytest.raises(SolverError, match=r"did not converge \(n=16, rep=1\)$"):
         run_figure1(config, model)
     assert len(calls) == 37
+
+
+@pytest.mark.parametrize(
+    "runner, config, model",
+    [
+        (
+            run_table1,
+            SimConfig(ns=(20,), p_ratio=2.0, k_ratio=0.1, family="linear", lam=5.0),
+            replace(TABLE1_MODEL, loss=LossSpec("pseudo_huber", huber_scale=1.0)),
+        ),
+        (
+            run_table2,
+            tiny_table2_config(),
+            replace(TABLE2_MODEL, loss=LossSpec("squared")),
+        ),
+        (
+            run_figure1,
+            tiny_figure1_config(),
+            replace(FIGURE1_MODEL, phi=LossSpec("smoothed_abs", smooth_scale=4.0)),
+        ),
+    ],
+    ids=["table1", "table2", "figure1"],
+)
+def test_studies_refuse_a_loss_their_oracle_cannot_score(runner, config, model):
+    with pytest.raises(ValueError, match="loss as its error function"):
+        runner(config, model)
+
+
+@pytest.mark.parametrize("k_folds", [(3, 40), (1,)], ids=["K_above_n", "K_below_2"])
+def test_figure1_refuses_folds_that_cannot_exist(monkeypatch, k_folds):
+    calls = []
+    real_fit = solver.fit
+
+    def counting_fit(*args, **kwargs):
+        calls.append(1)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "fit", counting_fit)
+    config = tiny_figure1_config(ns=(12,), k_folds=k_folds)
+    with pytest.raises(ValueError, match="2 <= K <= n"):
+        run_figure1(config, FIGURE1_MODEL)
+    # refused before any refit runs
+    assert calls == []
