@@ -60,23 +60,36 @@ def _smooth_abs_parts(beta, sharpness):
     return value, t, 0.5 * sharpness * (1.0 - t * t)
 
 
+def _dot(a, b):
+    # a @ b for vectors; the row-wise products for m x p blocks
+    return a @ b if a.ndim == 1 else np.einsum("ij,ij->i", a, b)
+
+
 def reg_value(spec, beta):
-    """Penalty value (without lambda) for any family."""
+    """Penalty value (without lambda) for any family.
+
+    An m x p block gives the m values of its rows as an array.
+    """
     beta = np.asarray(beta, dtype=float)
     f = spec.family
     if f == "ridge":
-        return 0.5 * float(beta @ beta)
-    if f == "smoothed_elastic_net":
+        value = 0.5 * _dot(beta, beta)
+    elif f == "smoothed_elastic_net":
         v, _, _ = _smooth_abs_parts(beta, spec.smooth_sharpness)
-        return float(spec.mix * beta @ beta + (1.0 - spec.mix) * np.sum(v))
-    if f == "l1":
-        return float(np.sum(np.abs(beta)))
-    # elastic_net
-    return float(0.5 * (1.0 - spec.mix) * beta @ beta + spec.mix * np.sum(np.abs(beta)))
+        value = _dot(spec.mix * beta, beta) + (1.0 - spec.mix) * np.sum(v, axis=-1)
+    elif f == "l1":
+        value = np.sum(np.abs(beta), axis=-1)
+    else:  # elastic_net
+        value = _dot(0.5 * (1.0 - spec.mix) * beta, beta) + spec.mix * np.sum(
+            np.abs(beta), axis=-1
+        )
+    return float(value) if beta.ndim == 1 else value
 
 
 def reg_eval(spec, beta):
     """Value, gradient and diagonal Hessian of a smooth regularizer.
+
+    An m x p block is taken row by row, as in reg_value.
 
     Raises ValueError for nonsmooth families; use prox_step for those.
     """

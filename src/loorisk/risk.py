@@ -1,9 +1,13 @@
 """LO, ALO and K-fold estimates of the out-of-sample error.
 
 refits yields one refit per held-out group of rows, warm-started at the
-full-data solution; it is the only loop over held-out sets.  lo_exact holds
-out each row, kfold_cv each fold of a seeded shuffle, and both score the
-held-out rows against their refit.  alo replaces the refits with a single
+full-data solution; it is the only loop over held-out sets.  Smooth
+penalties (ridge, smoothed elastic net) take the batched fixed-Hessian
+engine solver.fit_leave_groups_out, which refits few large folds one at a
+time itself; l1 and elastic net refit one group at a time through
+solver.fit_leave_one_out.  lo_exact holds out each row,
+kfold_cv each fold of a seeded shuffle, and both score the held-out rows
+against their refit.  alo replaces the refits with a single
 factorization plus rank-one leverage corrections.  Each estimator checks
 the responses once on entry and scores with the unchecked loss kernel.
 """
@@ -14,11 +18,17 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
+from scipy.linalg import LinAlgError, cho_solve
 
 from .losses import _check_response, _loss_terms
 from .regularizers import reg_curvature_diag
-from .solver import SolverError, _weighted_gram, fit, fit_leave_one_out
+from .solver import (
+    SolverError,
+    _hessian_factor,
+    fit,
+    fit_leave_groups_out,
+    fit_leave_one_out,
+)
 
 log = logging.getLogger(__name__)
 
@@ -54,11 +64,19 @@ def _aggregate(per_sample):
 def refits(data, model, groups, full_fit, opts=None):
     """Refit without each group of rows, warm-started at full_fit.
 
-    Yields (rows, FitResult) per group; a refit that does not converge
-    raises SolverError naming its rows.
+    Yields (rows, FitResult) per group, for smooth penalties in order of the
+    groups' smallest rows; a refit that does not converge raises SolverError
+    naming its rows.
     """
-    for rows in groups:
-        res = fit_leave_one_out(data, model, rows, warm=full_fit.beta_hat, opts=opts)
+    warm = full_fit.beta_hat
+    if model.reg.is_smooth:
+        results = fit_leave_groups_out(data, model, groups, warm, opts)
+    else:
+        results = (
+            (rows, fit_leave_one_out(data, model, rows, warm=warm, opts=opts))
+            for rows in groups
+        )
+    for rows, res in results:
         if not res.converged:
             raise SolverError(
                 f"refit without rows {np.atleast_1d(rows).tolist()} did not converge"
@@ -96,9 +114,8 @@ def _leverage(Xs, d2, curvature):
     """q_i = x_i^T A^{-1} x_i with A = Xs^T diag(d2) Xs + diag(curvature)."""
     if Xs.shape[1] == 0:
         return np.zeros(Xs.shape[0])
-    A = _weighted_gram(Xs, d2, curvature)
     try:
-        factor = cho_factor(A, lower=True, check_finite=False)
+        factor = _hessian_factor(Xs, d2, curvature)
     except LinAlgError as exc:
         raise SolverError("singular curvature matrix in ALO") from exc
     W = cho_solve(factor, Xs.T, check_finite=False)
@@ -165,7 +182,10 @@ def fold_assignments(n, K, seed):
 def kfold_cv(data, model, K, seed, opts=None, full_fit=None):
     """K-fold cross validation; K = n reproduces lo_exact exactly.
 
-    full_fit, when given, is the refits' warm start, as in lo_exact.
+    The batched refits of smooth penalties run in order of each fold's
+    smallest row, so with K = n they run exactly as lo_exact's and the
+    per-row values are bit for bit the same.  full_fit, when given, is the
+    refits' warm start, as in lo_exact.
     """
     if not 2 <= K <= data.n:
         raise ValueError("K must satisfy 2 <= K <= n")

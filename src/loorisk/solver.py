@@ -7,14 +7,22 @@ refreshed only when progress degrades, which keeps warm-started refits at
 roughly one factorization each.  l1-composite objectives use a monotone
 FISTA with backtracking step size and adaptive restart.
 
-fit_leave_one_out refits without one row or a set of rows; LO, K-fold and
-the assumption audit all go through it.
+fit_leave_one_out refits without one row or a set of rows.
+fit_leave_groups_out refits a smooth-penalty model (ridge, smoothed elastic
+net) without each of many groups of rows at once: the full-data Hessian,
+factored once and corrected for each group's rows by Woodbury, drives a
+fixed-Hessian Newton iteration on a block of refits, and a refit that stalls
+is handed to fit_leave_one_out.  Groups so few and large that this setup
+costs more flops than one factorization per group (K-fold with K <= 3 or
+so) are refit one at a time by fit_leave_one_out instead.  risk.refits
+takes fit_leave_groups_out for smooth penalties and fit_leave_one_out, one
+group at a time, for l1 and elastic net.
 """
 
 from __future__ import annotations
 
 import logging
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
@@ -29,8 +37,12 @@ _ARMIJO = 1e-4
 _LINE_SEARCH_SHRINK = 0.5
 _MIN_STEP = 1e-15
 # refresh the factorized Hessian when one step fails to cut the gradient
-# norm by at least this factor
+# norm by at least this factor; a batched refit whose step fails to is
+# handed to the damped Newton method
 _REFRESH_RATIO = 0.25
+# held-out groups refit together, as the rows of one block, by
+# fit_leave_groups_out
+_REFIT_CHUNK = 64
 
 
 class SolverError(RuntimeError):
@@ -66,7 +78,10 @@ class Dataset:
         """The dataset without the given rows (an index or an index array)."""
         keep = np.ones(self.n, dtype=bool)
         keep[rows] = False
-        return Dataset(self.X[keep], self.y[keep])
+        # rows of checked data need no second check: build without __init__
+        subset = object.__new__(Dataset)
+        subset.X, subset.y = self.X[keep], self.y[keep]
+        return subset
 
 
 @dataclass(frozen=True)
@@ -144,6 +159,24 @@ def _weighted_gram(X, w, shift):
     return A
 
 
+def _hessian_factor(X, w, shift):
+    """Cholesky factor of _weighted_gram(X, w, shift); LinAlgError if singular."""
+    return cho_factor(_weighted_gram(X, w, shift), lower=True, check_finite=False)
+
+
+def _armijo_ok(cand_obj, obj, slope, t=1.0):
+    """Armijo test of a step t along a direction of the given slope.
+
+    Rounding-level slack: near the solution the true decrease falls below
+    double-precision resolution of the objective and must not block the
+    (locally convergent) full Newton step.  A direction that does not
+    descend (slope >= 0) and a NaN candidate fail the test.  Works
+    elementwise on arrays.
+    """
+    noise = 1e-14 * (1.0 + np.abs(obj))
+    return (slope < 0.0) & (cand_obj <= obj + _ARMIJO * t * slope + noise)
+
+
 def _sigma_max_gram(X, iters=60):
     """Largest eigenvalue of X^T X by power iteration (deterministic start)."""
     rng = np.random.default_rng(0)
@@ -179,9 +212,8 @@ def _fit_newton(data, model, opts, beta0):
         if gnorm <= opts.tol:
             return FitResult(beta, obj, gnorm, it, True)
         if factor is None:
-            A = _weighted_gram(X, d2, lam * rh)
             try:
-                factor = cho_factor(A, lower=True, check_finite=False)
+                factor = _hessian_factor(X, d2, lam * rh)
             except LinAlgError:
                 log.warning("singular Newton system, falling back to gradient step")
                 factor = "gradient"
@@ -195,15 +227,10 @@ def _fit_newton(data, model, opts, beta0):
             direction = -grad
             slope = -float(grad @ grad)
 
-        # Armijo with rounding-level slack: near the solution the true
-        # decrease falls below double-precision resolution of the objective
-        # and must not block the (locally convergent) full Newton step.  A
-        # NaN candidate fails the test, so no non-finite iterate is accepted.
-        noise = 1e-14 * (1.0 + abs(obj))
         t = 1.0
         cand = beta + direction
         cand_obj = objective(data, model, cand)
-        while not cand_obj <= obj + _ARMIJO * t * slope + noise and t >= _MIN_STEP:
+        while not _armijo_ok(cand_obj, obj, slope, t) and t >= _MIN_STEP:
             t *= _LINE_SEARCH_SHRINK
             cand = beta + t * direction
             cand_obj = objective(data, model, cand)
@@ -306,18 +333,177 @@ def fit(data, model, opts=None, beta0=None):
     return solve(data, model, opts, beta0)
 
 
+def _held_out(rows, n):
+    """rows (one index or a 1-d index array) as an index array, checked."""
+    idx = np.atleast_1d(rows)
+    if idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):
+        raise ValueError("rows must be one index or a non-empty 1-d index array")
+    out = idx[(idx < 0) | (idx >= n)]
+    if out.size:
+        raise IndexError(f"row indices {out.tolist()} out of range for n={n}")
+    if np.unique(idx).size == n:
+        raise ValueError("a refit must keep at least one row")
+    return idx
+
+
 def fit_leave_one_out(data, model, rows, warm=None, opts=None):
     """Refit without rows (one index or a 1-d index array), from warm.
 
     Equivalent to fit() on data.drop_rows(rows); warm-starting at the
     full-data solution typically converges in a handful of steps.
     """
-    idx = np.atleast_1d(rows)
-    if idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):
-        raise ValueError("rows must be one index or a non-empty 1-d index array")
-    out = idx[(idx < 0) | (idx >= data.n)]
-    if out.size:
-        raise IndexError(f"row indices {out.tolist()} out of range for n={data.n}")
-    if np.unique(idx).size == data.n:
-        raise ValueError("a refit must keep at least one row")
+    idx = _held_out(rows, data.n)
     return fit(data.drop_rows(idx), model, opts, beta0=warm)
+
+
+def _refit_block(data, model, held, warm, d2, H_inv, opts):
+    """FitResults of the refits without each index array in held.
+
+    Refit j is row j of an m x p block B, started at warm.  Its Newton
+    matrix is H_j = H - X_j^T D_j X_j, where H (inverse H_inv) and
+    D_j = diag(d2) are taken at warm and X_j holds the rows of held[j]; by
+    Woodbury
+        H_j^{-1} g = H^{-1} g + W_j (I - D_j Q_j)^{-1} D_j X_j H^{-1} g
+    with W_j = H^{-1} X_j^T and Q_j = X_j W_j, which never divides by ell''.
+    """
+    X, y, lam = data.X, data.y, model.lam
+    m, k = len(held), max(idx.size for idx in held)
+    # held-out rows padded to k per refit; a padding row has no curvature,
+    # so its row of I - D_j Q_j is the identity and its coefficient stays 0
+    pad = np.zeros((m, k), dtype=int)
+    live = np.zeros((m, k), dtype=bool)
+    keep = np.ones((m, data.n), dtype=bool)
+    for j, idx in enumerate(held):
+        pad[j, : idx.size] = idx
+        live[j, : idx.size] = True
+        keep[j, idx] = False
+    Xg = X[pad]
+    curv = np.where(live, d2[pad], 0.0)
+
+    Wg = Xg @ H_inv
+    Q = Xg @ Wg.transpose(0, 2, 1)
+    M_inv = np.linalg.inv(np.eye(k) - curv[:, :, None] * Q)
+
+    def evaluate(B, rows):
+        """Objective, gradient and its sup-norm of each row of B."""
+        values, d1, _ = _loss_terms(model.loss, y, B @ X.T)
+        kept = keep[rows]
+        rv, rg, _ = reg_eval(model.reg, B)
+        obj = np.sum(np.where(kept, values, 0.0), axis=1) + lam * rv
+        grad = np.where(kept, d1, 0.0) @ X + lam * rg
+        return obj, grad, np.max(np.abs(grad), axis=1, initial=0.0)
+
+    results = [None] * m
+
+    def hand_over(j, used):
+        """Finish refit j with the damped Newton method in the budget left."""
+        if used == opts.max_iter:
+            results[j] = FitResult(
+                B[j].copy(), float(obj[j]), float(gnorm[j]), used, False
+            )
+            return
+        left = replace(opts, max_iter=opts.max_iter - used)
+        res = fit_leave_one_out(data, model, held[j], warm=B[j], opts=left)
+        results[j] = replace(res, iterations=used + res.iterations)
+
+    B = np.tile(warm, (m, 1))
+    active = np.arange(m)
+    obj, grad, gnorm = evaluate(B, active)
+    for steps in range(opts.max_iter + 1):
+        done = gnorm[active] <= opts.tol
+        for j in active[done]:
+            results[j] = FitResult(
+                B[j].copy(), float(obj[j]), float(gnorm[j]), steps, True
+            )
+        active = active[~done]
+        if not active.size or steps == opts.max_iter:
+            break
+        a = active
+        S = grad[a] @ H_inv
+        t = np.einsum("akp,ap->ak", Xg[a], S)
+        u = np.einsum("akl,al->ak", M_inv[a], curv[a] * t)
+        direction = -(S + np.einsum("akp,ak->ap", Wg[a], u))
+        slope = np.einsum("ap,ap->a", grad[a], direction)
+        cand = B[a] + direction
+        cand_obj, cand_grad, cand_gnorm = evaluate(cand, a)
+        # as in _fit_newton, a full step that passes the Armijo test is
+        # taken; a refit whose step fails it, or that ends the step short
+        # of the cut a fresh factor would bring, goes on by damped Newton
+        taken = _armijo_ok(cand_obj, obj[a], slope)
+        stalled = ~taken | (
+            (cand_gnorm > _REFRESH_RATIO * gnorm[a]) & (cand_gnorm > opts.tol)
+        )
+        moved = a[taken]
+        B[moved], obj[moved] = cand[taken], cand_obj[taken]
+        grad[moved], gnorm[moved] = cand_grad[taken], cand_gnorm[taken]
+        for j, used in zip(a[stalled], steps + taken[stalled]):
+            hand_over(j, used)
+        active = a[~stalled]
+    # refits still open have used the whole budget
+    for j in active:
+        hand_over(j, opts.max_iter)
+    return results
+
+
+def _batching_pays(n, p, sizes):
+    """Whether batched refits of held-out groups of these sizes cost less.
+
+    Counts flops: the batched setup (factor and inverse of the full-data
+    Hessian, then each group's Woodbury terms) against one factorization of
+    each row-deleted Hessian, the least that refitting one group at a time
+    costs.  Single rows pay; a few large folds (K-fold with small K) do not.
+    """
+    k = np.asarray(sizes, dtype=float)
+    setup = n * p * p + 4.0 * p**3 / 3.0
+    batched = setup + np.sum(k * p * p + k * k * p + k**3 / 3.0)
+    one_at_a_time = np.sum((n - k) * p * p + p**3 / 3.0)
+    return bool(batched < one_at_a_time)
+
+
+def fit_leave_groups_out(data, model, groups, warm, opts=None):
+    """Refit a smooth-penalty model without each group of rows, from warm.
+
+    warm is the full-data solution; its penalized Hessian, factored once,
+    is the Newton matrix of every refit after a Woodbury correction for the
+    group's rows.  Groups (each one index or a 1-d index array) are refit
+    _REFIT_CHUNK at a time, in order of their smallest row, and yielded in
+    that order as (rows, FitResult).  A refit converges when the gradient
+    sup-norm of its own objective is at most opts.tol.  A full step that
+    passes the Armijo test of the damped Newton method is taken; a refit
+    whose step fails that test, or does not cut that norm by
+    _REFRESH_RATIO, is handed from its current iterate to
+    fit_leave_one_out, whose FitResult it then reports.  opts.max_iter caps
+    every refit: its batched steps and the steps of its hand-over together.
+    When _batching_pays says no, or the full-data Hessian is singular, each
+    group is refit by fit_leave_one_out from warm, in the same order.
+    A chunk of m groups of at most k rows holds O(m (n + k p + k^2))
+    floats besides X: O((n + p) m) for LO, O(n (K + p + n / K)) for K <= m
+    folds.
+    """
+    opts = opts or SolverOpts()
+    _check_response(model.loss, data.y)
+    warm = np.array(warm, dtype=float)
+    order = sorted(
+        ((rows, _held_out(rows, data.n)) for rows in groups), key=lambda g: g[1].min()
+    )
+    _, _, d2 = _loss_terms(model.loss, data.y, data.X @ warm)
+    _, _, rh = reg_eval(model.reg, warm)
+    factor = None
+    if _batching_pays(data.n, data.p, [idx.size for _, idx in order]):
+        try:
+            factor = _hessian_factor(data.X, d2, model.lam * rh)
+        except LinAlgError:
+            log.warning("singular full-data Hessian, refitting one group at a time")
+    if factor is None:
+        for rows, idx in order:
+            yield rows, fit_leave_one_out(data, model, idx, warm=warm, opts=opts)
+        return
+    # one explicit inverse keeps the iterations on numpy's BLAS: numpy and
+    # scipy may each bring their own multi-threaded BLAS, and alternating
+    # between the two costs more than these small products
+    H_inv = cho_solve(factor, np.eye(data.p), check_finite=False)
+    for start in range(0, len(order), _REFIT_CHUNK):
+        chunk = order[start : start + _REFIT_CHUNK]
+        held = [idx for _, idx in chunk]
+        results = _refit_block(data, model, held, warm, d2, H_inv, opts)
+        yield from zip((rows for rows, _ in chunk), results)

@@ -5,12 +5,20 @@ import pytest
 
 from scipy.special import expit
 
-from loorisk import solver
+from loorisk import risk, solver
 from loorisk.datagen import CovSpec, gen_beta_star, gen_design, gen_response
 from loorisk.losses import LossSpec, loss_eval
 from loorisk.regularizers import RegSpec
 from loorisk.risk import alo, fold_assignments, kfold_cv, lo_exact, refits
-from loorisk.solver import Dataset, ModelSpec, SolverError, SolverOpts, fit
+from loorisk.solver import (
+    Dataset,
+    ModelSpec,
+    SolverError,
+    SolverOpts,
+    fit,
+    fit_leave_groups_out,
+    fit_leave_one_out,
+)
 
 RIDGE_SQ = ModelSpec(LossSpec("squared"), RegSpec("ridge"), lam=1.0)
 ENET_SQ = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=1.0)
@@ -201,16 +209,19 @@ def test_kfold_equals_lo_when_k_is_n():
 
 
 def refit_fails_on_call(monkeypatch, k):
-    """Make the k-th refit (1-based) report non-convergence."""
-    real_fit = solver.fit
-    calls = []
+    """Make the engine report the k-th refit (1-based, in the order the
+    groups are given) as not converged."""
+    real_engine = risk.fit_leave_groups_out
 
-    def fake_fit(data, model, opts=None, beta0=None):
-        res = real_fit(data, model, opts, beta0)
-        calls.append(res)
-        return replace(res, converged=False) if len(calls) == k else res
+    def fake_engine(data, model, groups, warm, opts=None):
+        groups = list(groups)
+        failing = np.atleast_1d(groups[k - 1])
+        for rows, res in real_engine(data, model, groups, warm, opts):
+            if np.array_equal(np.atleast_1d(rows), failing):
+                res = replace(res, converged=False)
+            yield rows, res
 
-    monkeypatch.setattr(solver, "fit", fake_fit)
+    monkeypatch.setattr(risk, "fit_leave_groups_out", fake_engine)
 
 
 def test_lo_names_the_row_whose_refit_fails(monkeypatch):
@@ -275,6 +286,33 @@ def test_custom_error_function():
     # leave-one-out predictions are 0, so phi(y_i, 0) = f_H(y_i)
     expected = [4.0 * (np.sqrt(1.0 + y * y / 4.0) - 1.0) for y in (1.0, 2.0)]
     assert np.allclose(report.per_sample, expected, atol=1e-10)
+
+
+def linear_enet_instance(n, seed):
+    # squared loss with elastic net on rows N(0, I/n), p = n / 2, a tenth of
+    # beta* nonzero (unit Laplace), unit noise
+    p = n // 2
+    X = gen_design(n, p, CovSpec("scaled_identity", 1.0 / n), seed)
+    beta = gen_beta_star(p, max(1, p // 10), "laplace_unit", seed)
+    y = gen_response(X, beta, "linear", seed, noise_var=1.0)
+    model = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=1.0)
+    return Dataset(X, y), model
+
+
+def test_alo_lo_gap_shrinks_with_n_for_elastic_net():
+    # the mean |ALO - LO| gap should drop by at least x1.5 from n = 50 to
+    # n = 200 at a fixed p / n
+    gaps = {}
+    for n in (50, 200):
+        diffs = []
+        for rep in range(4):
+            data, model = linear_enet_instance(n, seed=2000 + 17 * rep + n)
+            full = fit(data, model, PROX_OPTS)
+            a = alo(data, model, full)
+            lo = lo_exact(data, model, PROX_OPTS, full_fit=full)
+            diffs.append(abs(a.estimate - lo.estimate))
+        gaps[n] = np.mean(diffs)
+    assert gaps[50] / gaps[200] >= 1.5
 
 
 def test_alo_lo_gap_shrinks_with_n():
@@ -350,17 +388,24 @@ def test_kfold_reuses_a_given_full_fit(model, instance, opts):
 
 def test_nan_newton_candidate_is_never_accepted(monkeypatch):
     # the loss kernel turns NaN at every point the refit without row 3
-    # tries after its warm start: the line search must reject each one, so
-    # the refit stops unconverged at the warm start and LO names the row
+    # tries after its warm start: the batched Armijo test rejects its first
+    # step and hands it to fit, whose line search must reject each point,
+    # so the refit stops unconverged at the warm start and LO names the row
     data = seeded_ridge_instance(8, 3, seed=14)
     full = fit(data, RIDGE_SQ)
     kept = np.delete(data.y, 3)
     real_terms, real_fit = solver._loss_terms, solver.fit
-    poisoned_calls, refit_results = [], []
+    batched_calls, poisoned_calls, refit_results = [], [], []
 
     def poisoned_terms(spec, y, z):
         value, d1, d2 = real_terms(spec, y, z)
-        if np.shape(y) == kept.shape and np.array_equal(y, kept):
+        if np.ndim(z) == 2:
+            # the batched kernel sees one refit per row of z; its second
+            # call holds the first step of all eight refits in row order
+            batched_calls.append(z)
+            if len(batched_calls) == 2:
+                value[3] = np.nan
+        elif np.shape(y) == kept.shape and np.array_equal(y, kept):
             poisoned_calls.append(z)
             if len(poisoned_calls) > 1:
                 value = np.full_like(value, np.nan)
@@ -374,8 +419,124 @@ def test_nan_newton_candidate_is_never_accepted(monkeypatch):
     monkeypatch.setattr(solver, "fit", recording_fit)
     with pytest.raises(SolverError, match=r"rows \[3\] did not converge"):
         lo_exact(data, RIDGE_SQ, full_fit=full)
+    assert len(batched_calls) >= 2
     assert len(poisoned_calls) > 1
     failed = refit_results[-1]
     assert not failed.converged
     assert np.array_equal(failed.beta_hat, full.beta_hat)
     assert np.isfinite(failed.objective)
+
+
+GLM_LOSSES = {
+    "squared": (LossSpec("squared"), "linear"),
+    "logistic": (LossSpec("logistic"), "logistic"),
+    "pseudo_huber": (LossSpec("pseudo_huber", huber_scale=1.0), "linear"),
+    "smoothed_abs": (LossSpec("smoothed_abs", smooth_scale=2.0), "linear"),
+    "poisson_softrect": (LossSpec("poisson_softrect"), "poisson_softrect"),
+    "negative_binomial": (
+        LossSpec("negative_binomial", shape=2.0),
+        "negative_binomial",
+    ),
+}
+SMOOTH_REGS = {
+    "ridge": RegSpec("ridge"),
+    "smoothed_elastic_net": RegSpec(
+        "smoothed_elastic_net", mix=0.5, smooth_sharpness=10.0
+    ),
+}
+
+
+def glm_instance(family, n=20, p=8, seed=21):
+    loss, response = GLM_LOSSES[family]
+    X = gen_design(n, p, CovSpec("scaled_identity", 1.0 / p), seed)
+    beta = gen_beta_star(p, p // 2, "laplace_unit", seed)
+    y = gen_response(X, beta, response, seed, noise_var=1.0, shape=loss.shape)
+    return Dataset(X, y), loss
+
+
+def sequential_per_sample(data, model, groups, full):
+    """Per-row scores of a loop of fit_leave_one_out over the groups."""
+    z = np.empty(data.n)
+    for rows in groups:
+        res = fit_leave_one_out(data, model, rows, warm=full.beta_hat)
+        assert res.converged
+        z[rows] = data.X[rows] @ res.beta_hat
+    return loss_eval(model.phi_spec, data.y, z)[0]
+
+
+@pytest.mark.parametrize("reg", list(SMOOTH_REGS))
+@pytest.mark.parametrize("family", list(GLM_LOSSES) + ["saturated_logistic"])
+def test_batched_refits_equal_sequential_refits(monkeypatch, family, reg):
+    if family == "saturated_logistic":
+        data, loss = saturated_logistic_instance(), LossSpec("logistic")
+    else:
+        data, loss = glm_instance(family)
+    model = ModelSpec(loss, SMOOTH_REGS[reg], lam=1.0)
+    full = fit(data, model)
+    labels = fold_assignments(data.n, 5, seed=8)
+    folds = [np.flatnonzero(labels == fold) for fold in range(5)]
+    real_fit, hand_overs = solver.fit, []
+
+    def counting_fit(*args, **kwargs):
+        hand_overs.append(1)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "fit", counting_fit)
+    lo = lo_exact(data, model, full_fit=full)
+    cv = kfold_cv(data, model, K=5, seed=8, full_fit=full)
+    monkeypatch.setattr(solver, "fit", real_fit)
+
+    expected_lo = sequential_per_sample(data, model, range(data.n), full)
+    expected_cv = sequential_per_sample(data, model, folds, full)
+    assert np.max(np.abs(lo.per_sample - expected_lo)) <= 1e-8
+    assert np.max(np.abs(cv.per_sample - expected_cv)) <= 1e-8
+    if family == "saturated_logistic":
+        d2 = loss_eval(loss, data.y, data.X @ full.beta_hat)[2]
+        assert np.any(d2 == 0.0)
+    if (family, reg) == ("squared", "smoothed_elastic_net"):
+        # the sharp absolute-value surrogate moves the Hessian too far for
+        # some refits, which must then stall and go through fit
+        assert len(hand_overs) > 0
+
+
+def test_max_iter_caps_every_batched_refit():
+    # a refit's batched steps and the steps of its hand-over share one
+    # budget; a refit still open when the budget runs out is unconverged
+    data, loss = glm_instance("squared")
+    model = ModelSpec(loss, SMOOTH_REGS["smoothed_elastic_net"], lam=1.0)
+    full = fit(data, model)
+    opts = SolverOpts(max_iter=5)
+    groups = fit_leave_groups_out(data, model, range(data.n), full.beta_hat, opts)
+    results = [res for _, res in groups]
+    assert all(res.iterations <= opts.max_iter for res in results)
+    assert any(res.converged for res in results)
+    open_refits = [res for res in results if not res.converged]
+    assert open_refits
+    assert all(res.iterations == opts.max_iter for res in open_refits)
+    assert all(res.grad_inf_norm > opts.tol for res in open_refits)
+
+
+def test_few_large_folds_refit_one_group_at_a_time(monkeypatch):
+    # the batched setup costs more flops than one factorization per fold
+    # when the folds are few and large: 2 folds are refit one at a time,
+    # bit for bit as fit_leave_one_out, while 5 folds and LO are batched
+    data, loss = glm_instance("logistic")
+    model = ModelSpec(loss, SMOOTH_REGS["ridge"], lam=1.0)
+    full = fit(data, model)
+    real_block, blocks = solver._refit_block, []
+
+    def recording_block(*args):
+        blocks.append(args[2])
+        return real_block(*args)
+
+    monkeypatch.setattr(solver, "_refit_block", recording_block)
+    labels = fold_assignments(data.n, 2, seed=8)
+    folds = [np.flatnonzero(labels == fold) for fold in range(2)]
+    for rows, res in refits(data, model, folds, full):
+        alone = fit_leave_one_out(data, model, rows, warm=full.beta_hat)
+        assert np.array_equal(res.beta_hat, alone.beta_hat)
+    assert blocks == []
+    kfold_cv(data, model, K=5, seed=8, full_fit=full)
+    assert [len(held) for held in blocks] == [5]
+    lo_exact(data, model, full_fit=full)
+    assert [len(held) for held in blocks] == [5, data.n]

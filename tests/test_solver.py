@@ -127,6 +127,7 @@ def test_fold_refit_equals_fit_on_kept_rows(model):
     mask[idx] = False
     refit = fit_leave_one_out(data, model, idx, warm=warm, opts=opts)
     direct = fit(Dataset(data.X[mask], data.y[mask]), model, opts, beta0=warm)
+    assert data.drop_rows(idx).X.flags.c_contiguous
     assert refit.converged
     assert np.array_equal(refit.beta_hat, direct.beta_hat)
     assert refit.iterations == direct.iterations
@@ -257,3 +258,15 @@ def test_fit_checks_its_input_before_iterating(monkeypatch):
     with pytest.raises(ValueError, match="beta0"):
         fit(Dataset(np.eye(2), np.zeros(2)), RIDGE_SQ, beta0=[0.0, np.nan])
     assert calls == []
+
+
+def test_armijo_test_rejects_non_descent_and_nan():
+    # one test for the damped Newton line search and the batched refits:
+    # a lower objective along a direction that does not descend, or a NaN
+    # candidate, fails it; rounding-level slack passes a flat full step
+    cand = np.array([0.5, 0.5, 0.5, np.nan, 1.0])
+    slope = np.array([-1.0, 0.0, 1e-3, -1.0, -1e-20])
+    ok = solver._armijo_ok(cand, 1.0, slope)
+    assert ok.tolist() == [True, False, False, False, True]
+    assert not solver._armijo_ok(0.99999, 1.0, -1.0, t=1.0)
+    assert solver._armijo_ok(0.99999, 1.0, -1.0, t=0.05)
