@@ -2,8 +2,12 @@
 
 Under a Gaussian design the expected logistic loss of a fixed coefficient
 vector reduces to two one-dimensional Gaussian integrals, evaluated here
-by Gauss-Hermite quadrature.  A brute-force Monte-Carlo estimate from
-fresh draws of (x_o, y_o) serves as the independent check.
+by Gauss-Hermite quadrature.  A Monte-Carlo estimate from fresh draws of
+y_o and of the pair (x_o beta_star, x_o beta_hat) serves as the check.  The
+response and the loss see x_o only through that pair, which is bivariate
+normal, so drawing it has the same law as drawing x_o.  The Monte-Carlo
+oracle shares its covariance algebra with the quadrature; the test suite
+checks that algebra against full draws of x_o.
 """
 
 import numpy as np

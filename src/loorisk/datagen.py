@@ -94,6 +94,7 @@ class CovSpec:
         """u^T Sigma v."""
         u = np.asarray(u, dtype=float)
         v = np.asarray(v, dtype=float)
+        self._require_dim(u.shape[0])
         self._require_dim(v.shape[0])
         if self.kind == "scaled_identity":
             return self.scale * float(u @ v)
@@ -150,8 +151,13 @@ def gen_response(X, beta_star, family, seed, noise_var=None, shape=None):
     linear needs noise_var; negative_binomial needs the shape parameter and
     uses the exponential link via a gamma-Poisson mixture.
     """
-    rng = substream(seed, _DOMAIN_RESPONSE)
     z = X @ np.asarray(beta_star, dtype=float)
+    return _response(z, family, seed, noise_var, shape)
+
+
+def _response(z, family, seed, noise_var=None, shape=None):
+    """Responses drawn given the true linear predictors z = X beta_star."""
+    rng = substream(seed, _DOMAIN_RESPONSE)
     if family == "linear":
         if noise_var is None or noise_var < 0:
             raise ValueError("linear family requires noise_var >= 0")

@@ -1,8 +1,9 @@
 """Ground-truth out-of-sample prediction error.
 
 Closed forms exist for the linear-Gaussian and logistic designs; a seeded
-Monte-Carlo estimate covers every family and doubles as the cross-check
-oracle for the closed forms.
+Monte-Carlo estimate covers every family and cross-checks the closed forms.
+It draws (x_o beta_star, x_o beta_hat), all that the response and the loss
+see of x_o, from its bivariate normal law: two normals a sample for any p.
 """
 
 from __future__ import annotations
@@ -12,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.special import expit
 
-from .datagen import CovSpec, derive_seed, gen_response, substream
+from .datagen import CovSpec, _response, derive_seed, substream
 from .losses import _softplus, loss_eval
 
 _MC_CHUNK = 200_000
@@ -92,36 +93,43 @@ def err_out_monte_carlo(beta_hat, truth, model, m, seed):
     """Monte-Carlo out-of-sample error: fresh draws of (x_o, y_o).
 
     Returns (mean, std_err) of phi(y_o, x_o beta_hat) over m draws,
-    deterministic given seed.  Draws are generated in fixed-size chunks on
-    independent substreams and merged by streaming mean/variance, so chunks
-    are combinable in any order.
+    deterministic given seed.  y_o and phi see x_o only through
+    (x_o beta_star, x_o beta_hat), which under the Gaussian design is
+    bivariate normal with covariance given by quad and cross; each sample
+    draws that pair from two normals, not x_o from p, and phi keeps its law.
+    Chunks use independent substreams and are merged by streaming
+    mean/variance of the deviations from the first draw, so a constant phi
+    returns its value with std_err 0.
     """
     if m < 100:
         raise ValueError("m must be >= 100")
     beta_hat = np.asarray(beta_hat, dtype=float)
-    p = beta_hat.shape[0]
-    chol = truth.sigma_spec.cholesky(p)
-    scaled_identity = truth.sigma_spec.kind == "scaled_identity"
-    scale = np.sqrt(truth.sigma_spec.scale)
+    sigma = truth.sigma_spec
+    # raises if the explicit covariance is not SPD
+    sigma.cholesky(beta_hat.shape[0])
+    # (z*, z) = (a g0, b g0 + d g1) has the covariance above
+    a = np.sqrt(sigma.quad(truth.beta_star))
+    b = sigma.cross(beta_hat, truth.beta_star) / a if a > 0 else 0.0
+    d = np.sqrt(max(sigma.quad(beta_hat) - b * b, 0.0))
 
+    shift = None
     count = 0
     mean = 0.0
     m2 = 0.0
     chunk_index = 0
     while count < m:
         size = min(_MC_CHUNK, m - count)
-        rng = substream(seed, chunk_index)
-        Z = rng.standard_normal((size, p))
-        X = scale * Z if scaled_identity else Z @ chol.T
-        y = gen_response(
-            X,
-            truth.beta_star,
+        g = substream(seed, chunk_index).standard_normal((size, 2))
+        y = _response(
+            a * g[:, 0],
             truth.family,
             derive_seed(seed, chunk_index, 1),
             noise_var=truth.noise_var,
             shape=truth.shape,
         )
-        values, _, _ = loss_eval(model.phi_spec, y, X @ beta_hat)
+        values, _, _ = loss_eval(model.phi_spec, y, b * g[:, 0] + d * g[:, 1])
+        shift = float(values[0]) if shift is None else shift
+        values -= shift
         # Chan's pairwise merge of (count, mean, M2) summaries
         c_count = size
         c_mean = float(np.mean(values))
@@ -133,4 +141,4 @@ def err_out_monte_carlo(beta_hat, truth, model, m, seed):
         count = total
         chunk_index += 1
     std_err = np.sqrt(m2 / (count - 1) / count)
-    return float(mean), float(std_err)
+    return float(shift + mean), float(std_err)

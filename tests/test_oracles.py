@@ -1,8 +1,11 @@
+import tracemalloc
+import warnings
+
 import numpy as np
 import pytest
 
-from loorisk.datagen import CovSpec
-from loorisk.losses import LossSpec
+from loorisk.datagen import CovSpec, gen_response, substream
+from loorisk.losses import LossSpec, loss_eval
 from loorisk.oracles import (
     TrueModel,
     err_out_linear,
@@ -150,3 +153,139 @@ def test_monte_carlo_validates_m():
     truth = TrueModel(np.ones(2), CovSpec("scaled_identity", 1.0), 1.0)
     with pytest.raises(ValueError):
         err_out_monte_carlo(np.ones(2), truth, LINEAR_MODEL, 50, 0)
+
+
+def full_draw_monte_carlo(beta_hat, truth, model, m, seed):
+    """Reference estimator: draw x_o ~ N(0, Sigma) in full, then y_o and phi.
+
+    It shares none of the quad/cross algebra of err_out_monte_carlo and the
+    closed forms, so it checks that algebra independently.
+    """
+    p = beta_hat.shape[0]
+    X = substream(seed, 0).standard_normal((m, p)) @ truth.sigma_spec.cholesky(p).T
+    y = gen_response(
+        X,
+        truth.beta_star,
+        truth.family,
+        seed + 1,
+        noise_var=truth.noise_var,
+        shape=truth.shape,
+    )
+    values, _, _ = loss_eval(model.phi_spec, y, X @ beta_hat)
+    return values.mean(), values.std(ddof=1) / np.sqrt(m)
+
+
+@pytest.mark.parametrize(
+    "family, phi",
+    [
+        ("linear", LossSpec("squared")),
+        ("logistic", LossSpec("logistic")),
+        ("poisson_softrect", LossSpec("poisson_softrect")),
+        ("negative_binomial", LossSpec("negative_binomial", shape=0.5)),
+    ],
+)
+def test_monte_carlo_matches_full_draw_reference(family, phi):
+    rng = np.random.default_rng(40)
+    p = 8
+    truth = TrueModel(
+        rng.standard_normal(p),
+        CovSpec("matrix", matrix=random_spd(p, 41)),
+        noise_var=0.8 if family == "linear" else 0.0,
+        family=family,
+        shape=0.5 if family == "negative_binomial" else None,
+    )
+    beta_hat = truth.beta_star + 0.5 * rng.standard_normal(p)
+    model = ModelSpec(phi, RegSpec("ridge"), lam=1.0)
+    ref, ref_se = full_draw_monte_carlo(beta_hat, truth, model, 200_000, 1001)
+    mc, mc_se = err_out_monte_carlo(beta_hat, truth, model, 200_000, 2002)
+    assert abs(mc - ref) <= 4.0 * np.hypot(mc_se, ref_se)
+
+
+def test_monte_carlo_of_a_constant_phi_is_exact():
+    # at beta_hat = 0 every draw scores softplus(0) = log 2, whatever y is;
+    # m spans two chunks so the merge is exercised
+    truth = TrueModel(
+        np.array([1.0, -1.0, 0.5]), CovSpec("matrix", matrix=random_spd(3, 9)),
+        family="logistic",
+    )
+    mean, se = err_out_monte_carlo(np.zeros(3), truth, LOGISTIC_MODEL, 300_000, 5)
+    assert mean == loss_eval(LossSpec("logistic"), 1.0, 0.0)[0]
+    assert se == 0.0
+
+
+@pytest.mark.parametrize(
+    "sigma",
+    [CovSpec("scaled_identity", 0.3), CovSpec("matrix", matrix=random_spd(5, 13))],
+)
+def test_quad_and_cross_equal_explicit_products(sigma):
+    rng = np.random.default_rng(14)
+    u, v = rng.standard_normal(5), rng.standard_normal(5)
+    matrix = sigma.matrix if sigma.kind == "matrix" else 0.3 * np.eye(5)
+    assert sigma.quad(v) == pytest.approx(v @ matrix @ v, rel=1e-12)
+    assert sigma.cross(u, v) == pytest.approx(u @ matrix @ v, rel=1e-12)
+
+
+def test_cross_checks_both_dimensions():
+    sigma = CovSpec("matrix", matrix=random_spd(3, 15))
+    with pytest.raises(ValueError):
+        sigma.cross(np.ones(2), np.ones(3))
+    with pytest.raises(ValueError):
+        sigma.cross(np.ones(3), np.ones(2))
+
+
+@pytest.mark.parametrize(
+    "beta_star, beta_hat",
+    [
+        (np.array([1.0, -0.5, 2.0, 0.3]), np.array([0.7, -0.35, 1.4, 0.21])),
+        (np.zeros(4), np.array([0.4, -1.0, 0.2, 0.6])),
+        (np.array([1.0, -0.5, 2.0, 0.3]), np.zeros(4)),
+    ],
+    ids=["beta_hat_prop_beta_star", "beta_star_zero", "beta_hat_zero"],
+)
+def test_monte_carlo_on_a_degenerate_joint_law(beta_star, beta_hat):
+    truth = TrueModel(beta_star, CovSpec("matrix", matrix=random_spd(4, 16)), 0.5)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        mean, se = err_out_monte_carlo(beta_hat, truth, LINEAR_MODEL, 200_000, 17)
+    assert np.isfinite(mean) and np.isfinite(se) and se > 0
+    closed = err_out_linear(beta_hat, truth)
+    assert abs(2.0 * mean - closed) <= 4.0 * 2.0 * se
+
+
+@pytest.mark.parametrize(
+    "sigma", [CovSpec("scaled_identity", 1.0), CovSpec("matrix", matrix=np.eye(3))]
+)
+def test_monte_carlo_rejects_length_mismatch(sigma):
+    truth = TrueModel(np.ones(3), sigma, 1.0)
+    with pytest.raises(ValueError):
+        err_out_monte_carlo(np.ones(2), truth, LINEAR_MODEL, 1000, 0)
+
+
+def test_monte_carlo_rejects_non_spd_covariance():
+    sigma = CovSpec("matrix", matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    truth = TrueModel(np.ones(2), sigma, 1.0)
+    with pytest.raises(ValueError):
+        err_out_monte_carlo(np.ones(2), truth, LINEAR_MODEL, 1000, 0)
+
+
+def _peak_traced_bytes(p, kind):
+    sigma = (
+        CovSpec("scaled_identity", 1.0 / p)
+        if kind == "scaled_identity"
+        else CovSpec("matrix", matrix=random_spd(p, 18))
+    )
+    rng = np.random.default_rng(19)
+    truth = TrueModel(rng.standard_normal(p), sigma, family="logistic")
+    beta_hat = rng.standard_normal(p)
+    tracemalloc.start()
+    try:
+        err_out_monte_carlo(beta_hat, truth, LOGISTIC_MODEL, 200_000, 20)
+        return tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+@pytest.mark.parametrize("kind", ["scaled_identity", "matrix"])
+def test_monte_carlo_memory_does_not_grow_with_p(kind):
+    # a draw of x_o would need 200k x 300 doubles (480 MB) at p = 300
+    assert _peak_traced_bytes(300, kind) <= 2.0 * _peak_traced_bytes(3, kind)
