@@ -93,16 +93,14 @@ def compute_Cv_from_parts(E_var, C_b):
 def compute_Cv_logistic(rho, delta, lam):
     """Ridge-logistic variance constant, printed formula.
 
-    C_v = 6 + 5 rho delta / lam + 2 (4 rho sqrt(delta) / lam)^2
-        + 2 (4 rho sqrt(delta) / lam) sqrt(6 + 5 rho delta / lam
-                                           + (4 rho sqrt(delta) / lam)^2)
+    compute_Cv_from_parts with E_var = 6 + 5 rho delta / lam and the bias
+    constant at c0 = c1 = 2, nu = lam: C_b = (4 rho sqrt(delta) / lam)^2.
     """
     for name, value in (("rho", rho), ("delta", delta), ("lam", lam)):
         if not value > 0:
             raise ValueError(f"{name} must be positive")
     e_var = 6.0 + 5.0 * rho * delta / lam
-    root_cb = 4.0 * rho * np.sqrt(delta) / lam
-    return e_var + 2.0 * root_cb**2 + 2.0 * root_cb * np.sqrt(e_var + root_cb**2)
+    return compute_Cv_from_parts(e_var, compute_Cb(2.0, 2.0, rho, delta, lam))
 
 
 def pick_audit_indices(n, count=25):

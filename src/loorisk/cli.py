@@ -6,7 +6,7 @@ selftest.  All randomness is controlled by the config seed (overridable with
 
 Config files are flat INI text with sections [design], [model], [solver]
 and [experiment]; the presets shipped with the package are examples of the
-full schema.
+full schema, and any other section or key is a config error.
 """
 
 from __future__ import annotations
@@ -29,7 +29,7 @@ from .bounds import (
     compute_Cv_logistic,
     pick_audit_indices,
 )
-from .datagen import SimConfig
+from .datagen import SimConfig, _response, gen_beta_star
 from .experiments import (
     _fitted_replicate,
     check_study,
@@ -57,18 +57,6 @@ class ConfigError(Exception):
     pass
 
 
-def _parse_scalar(parser, section, key, cast, default=None, required=False):
-    if not parser.has_option(section, key):
-        if required:
-            raise ConfigError(f"[{section}] is missing required key {key!r}")
-        return default
-    raw = parser.get(section, key)
-    try:
-        return cast(raw)
-    except ValueError as exc:
-        raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
-
-
 def _list_of(cast):
     """A cast for a comma-separated list of cast values."""
 
@@ -88,42 +76,63 @@ def load_config_text(text, source="<config>"):
     for section in ("design", "model"):
         if not parser.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
+    read = set()  # every (section, key) of the schema; the rest is rejected
 
-    ns = _parse_scalar(parser, "design", "ns", _list_of(int), required=True)
+    def scalar(section, key, cast=str, default=None, required=False):
+        read.add((section, key))
+        if not parser.has_option(section, key):
+            if required:
+                raise ConfigError(f"[{section}] is missing required key {key!r}")
+            return default
+        raw = parser.get(section, key)
+        try:
+            return cast(raw)
+        except ValueError as exc:
+            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+
+    ns = scalar("design", "ns", _list_of(int), required=True)
     exp = "experiment"
-    lam = _parse_scalar(parser, "model", "lambda", float, required=True)
+    lam = scalar("model", "lambda", float, required=True)
+    scalar(exp, "kind")  # the study the config was written for; not a selector
     try:
         sim = SimConfig(
             ns=ns,
-            p=_parse_scalar(parser, "design", "p", int),
-            p_ratio=_parse_scalar(parser, "design", "p_ratio", float),
-            k=_parse_scalar(parser, "design", "k", int),
-            k_ratio=_parse_scalar(parser, "design", "k_ratio", float),
-            sigma=parser.get("design", "sigma", fallback="identity/n"),
-            noise_var=_parse_scalar(parser, "design", "noise_var", float, 1.0),
-            beta_dist=parser.get("design", "beta_dist", fallback="laplace_unit"),
-            family=parser.get("design", "family", fallback="linear"),
+            p=scalar("design", "p", int),
+            p_ratio=scalar("design", "p_ratio", float),
+            k=scalar("design", "k", int),
+            k_ratio=scalar("design", "k_ratio", float),
+            sigma=scalar("design", "sigma", default="identity/n"),
+            noise_var=scalar("design", "noise_var", float, 1.0),
+            beta_dist=scalar("design", "beta_dist", default="laplace_unit"),
+            family=scalar("design", "family", default="linear"),
             lam=lam,
-            reps=_parse_scalar(parser, exp, "reps", int, 1),
-            seed=_parse_scalar(parser, exp, "seed", int, 0),
-            k_folds=_parse_scalar(parser, exp, "k_folds", _list_of(int)),
-            lambdas=_parse_scalar(parser, exp, "lambdas", _list_of(float)),
-            shape=_parse_scalar(parser, "design", "shape", float),
+            reps=scalar(exp, "reps", int, 1),
+            seed=scalar(exp, "seed", int, 0),
+            k_folds=scalar(exp, "k_folds", _list_of(int)),
+            lambdas=scalar(exp, "lambdas", _list_of(float)),
+            shape=scalar("design", "shape", float),
         )
+        # a replicate parses these values when it is drawn: probe them now, so
+        # that one no replicate can use is a config error, not a failed study
+        for n in sim.ns:
+            sim.sigma_for(n)
+            sim.k_for(n)
+        gen_beta_star(1, 1, sim.beta_dist, sim.seed)
+        _response(np.zeros(1), sim.family, sim.seed, sim.noise_var, sim.shape)
     except ValueError as exc:
         raise ConfigError(f"[design]/[experiment]: {exc}") from exc
 
     try:
         loss = LossSpec(
-            family=parser.get("model", "loss", fallback="squared"),
-            huber_scale=_parse_scalar(parser, "model", "huber_scale", float),
-            smooth_scale=_parse_scalar(parser, "model", "smooth_scale", float),
-            shape=_parse_scalar(parser, "model", "shape", float),
+            family=scalar("model", "loss", default="squared"),
+            huber_scale=scalar("model", "huber_scale", float),
+            smooth_scale=scalar("model", "smooth_scale", float),
+            shape=scalar("model", "shape", float),
         )
         reg = RegSpec(
-            family=parser.get("model", "reg", fallback="ridge"),
-            mix=_parse_scalar(parser, "model", "mix", float),
-            smooth_sharpness=_parse_scalar(parser, "model", "sharpness", float),
+            family=scalar("model", "reg", default="ridge"),
+            mix=scalar("model", "mix", float),
+            smooth_sharpness=scalar("model", "sharpness", float),
         )
         model = ModelSpec(loss=loss, reg=reg, lam=lam)
     except ValueError as exc:
@@ -139,13 +148,19 @@ def load_config_text(text, source="<config>"):
 
     try:
         opts = SolverOpts(
-            tol=_parse_scalar(parser, "solver", "tol", float, SolverOpts.tol),
-            max_iter=_parse_scalar(
-                parser, "solver", "max_iter", int, SolverOpts.max_iter
-            ),
+            tol=scalar("solver", "tol", float, SolverOpts.tol),
+            max_iter=scalar("solver", "max_iter", int, SolverOpts.max_iter),
         )
     except ValueError as exc:
         raise ConfigError(f"[solver]: {exc}") from exc
+
+    sections = {section for section, _ in read}
+    for section in parser.sections():
+        for key in parser.options(section):
+            if (section, key) not in read:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+        if section not in sections:
+            raise ConfigError(f"unknown section [{section}]")
     return sim, model, opts
 
 

@@ -76,12 +76,6 @@ class CovSpec:
             return self.scale
         return float(np.linalg.eigvalsh(self.matrix)[-1])
 
-    def trace(self, p):
-        self._require_dim(p)
-        if self.kind == "scaled_identity":
-            return self.scale * p
-        return float(np.trace(self.matrix))
-
     def quad(self, v):
         """v^T Sigma v."""
         v = np.asarray(v, dtype=float)

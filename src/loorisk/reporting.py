@@ -33,42 +33,22 @@ def format_real(x):
     return f"{float(x):.17g}"
 
 
+# the "type" tag of each result dataclass in report.json
+_RESULT_TYPES = {
+    ExperimentResult: "experiment",
+    RiskReport: "risk",
+    BoundReport: "bound",
+    FitResult: "fit",
+}
+
+
 def to_jsonable(obj):
-    """Recursively convert a result object to JSON-serializable structures."""
-    if isinstance(obj, ExperimentResult):
-        return {"type": "experiment", **to_jsonable(asdict(obj))}
-    if isinstance(obj, RiskReport):
-        return {
-            "type": "risk",
-            "method": obj.method,
-            "estimate": obj.estimate,
-            "per_sample": to_jsonable(obj.per_sample),
-            "h_diag": to_jsonable(obj.h_diag),
-            "active_set": to_jsonable(obj.active_set),
-            "n_flagged": obj.n_flagged,
-        }
-    if isinstance(obj, BoundReport):
-        return {
-            "type": "bound",
-            "rho": obj.rho,
-            "delta": obj.delta,
-            "c0": obj.c0,
-            "c1": obj.c1,
-            "nu": obj.nu,
-            "C_b": obj.C_b,
-            "C_v": obj.C_v,
-            "bound_over_n": obj.bound_over_n,
-            "audit": to_jsonable(obj.audit.__dict__) if obj.audit else None,
-        }
-    if isinstance(obj, FitResult):
-        return {
-            "type": "fit",
-            "beta_hat": to_jsonable(obj.beta_hat),
-            "objective": obj.objective,
-            "grad_inf_norm": obj.grad_inf_norm,
-            "iterations": obj.iterations,
-            "converged": obj.converged,
-        }
+    """Recursively convert a result object to JSON-serializable structures.
+
+    A result dataclass becomes its tag and its fields, in declaration order.
+    """
+    if type(obj) in _RESULT_TYPES:
+        return {"type": _RESULT_TYPES[type(obj)], **to_jsonable(asdict(obj))}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):

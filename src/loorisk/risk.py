@@ -1,11 +1,9 @@
 """LO, ALO and K-fold estimates of the out-of-sample error.
 
 refits yields one refit per held-out group of rows, warm-started at the
-full-data solution; it is the only loop over held-out sets.  Smooth
-penalties (ridge, smoothed elastic net) take the batched fixed-Hessian
-engine solver.fit_leave_groups_out, which refits few large folds one at a
-time itself; l1 and elastic net refit one group at a time through
-solver.fit_leave_one_out.  lo_exact holds out each row,
+full-data solution, for every penalty through solver.fit_leave_groups_out,
+which batches smooth-penalty refits and refits the rest one group at a
+time; it is the only loop over held-out sets.  lo_exact holds out each row,
 kfold_cv each fold of a seeded shuffle, and both score the held-out rows
 against their refit.  alo replaces the refits with a single
 factorization plus rank-one leverage corrections.  Each estimator checks
@@ -21,14 +19,8 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_solve
 
 from .losses import _check_response, _loss_terms
-from .regularizers import reg_curvature_diag
-from .solver import (
-    SolverError,
-    _hessian_factor,
-    fit,
-    fit_leave_groups_out,
-    fit_leave_one_out,
-)
+from .regularizers import reg_curvature_diag, strong_convexity_lower
+from .solver import SolverError, _hessian_factor, fit, fit_leave_groups_out
 
 log = logging.getLogger(__name__)
 
@@ -64,18 +56,10 @@ def _aggregate(per_sample):
 def refits(data, model, groups, full_fit, opts=None):
     """Refit without each group of rows, warm-started at full_fit.
 
-    Yields (rows, FitResult) per group, for smooth penalties in order of the
-    groups' smallest rows; a refit that does not converge raises SolverError
-    naming its rows.
+    Yields (rows, FitResult) per group, in order of the groups' smallest
+    rows; a refit that does not converge raises SolverError naming its rows.
     """
-    warm = full_fit.beta_hat
-    if model.reg.is_smooth:
-        results = fit_leave_groups_out(data, model, groups, warm, opts)
-    else:
-        results = (
-            (rows, fit_leave_one_out(data, model, rows, warm=warm, opts=opts))
-            for rows in groups
-        )
+    results = fit_leave_groups_out(data, model, groups, full_fit.beta_hat, opts)
     for rows, res in results:
         if not res.converged:
             raise SolverError(
@@ -128,8 +112,10 @@ def alo(data, model, full_fit):
     Smooth regularizers use the full generalized hat matrix; l1-family
     regularizers restrict the design to the active set (coordinates whose
     magnitude exceeds _ACTIVE_TOL relative to the largest) and keep the
-    curvature of the penalty's quadratic part there (zero for pure l1).  Entries with
-    leverage at the pole are flagged +inf, never silently dropped.
+    curvature of the penalty's quadratic part there (zero for pure l1).  An
+    active set larger than n raises SolverError unless that curvature is
+    positive (elastic net with mix < 1).  Entries with leverage at the pole
+    are flagged +inf, never silently dropped.
     """
     if not full_fit.converged:
         raise ValueError("alo requires a converged full fit")
@@ -144,7 +130,7 @@ def alo(data, model, full_fit):
     else:
         scale = float(np.max(np.abs(beta))) if beta.size else 0.0
         active = np.flatnonzero(np.abs(beta) > _ACTIVE_TOL * scale)
-        if active.size > data.n:
+        if active.size > data.n and strong_convexity_lower(model.reg, model.lam) == 0:
             raise SolverError(
                 f"active set of size {active.size} exceeds n={data.n}; "
                 "the restricted curvature matrix cannot be inverted"
@@ -182,10 +168,9 @@ def fold_assignments(n, K, seed):
 def kfold_cv(data, model, K, seed, opts=None, full_fit=None):
     """K-fold cross validation; K = n reproduces lo_exact exactly.
 
-    The batched refits of smooth penalties run in order of each fold's
-    smallest row, so with K = n they run exactly as lo_exact's and the
-    per-row values are bit for bit the same.  full_fit, when given, is the
-    refits' warm start, as in lo_exact.
+    The refits run in order of each fold's smallest row, so with K = n they
+    run exactly as lo_exact's and the per-row values are bit for bit the
+    same.  full_fit, when given, is the refits' warm start, as in lo_exact.
     """
     if not 2 <= K <= data.n:
         raise ValueError("K must satisfy 2 <= K <= n")

@@ -8,15 +8,14 @@ roughly one factorization each.  l1-composite objectives use a monotone
 FISTA with backtracking step size and adaptive restart.
 
 fit_leave_one_out refits without one row or a set of rows.
-fit_leave_groups_out refits a smooth-penalty model (ridge, smoothed elastic
-net) without each of many groups of rows at once: the full-data Hessian,
-factored once and corrected for each group's rows by Woodbury, drives a
-fixed-Hessian Newton iteration on a block of refits, and a refit that stalls
-is handed to fit_leave_one_out.  Groups so few and large that this setup
-costs more flops than one factorization per group (K-fold with K <= 3 or
-so) are refit one at a time by fit_leave_one_out instead.  risk.refits
-takes fit_leave_groups_out for smooth penalties and fit_leave_one_out, one
-group at a time, for l1 and elastic net.
+fit_leave_groups_out, the one route for many refits, refits without each of
+many groups of rows.  For smooth penalties (ridge, smoothed elastic net) the
+full-data Hessian, factored once and corrected for each group's rows by
+Woodbury, drives a fixed-Hessian Newton iteration on a block of refits, and
+a refit that stalls is handed to fit_leave_one_out.  l1 and elastic-net
+groups, and smooth groups so few and large that this setup costs more flops
+than one factorization per group (K-fold with K <= 3 or so), are refit one
+at a time by fit_leave_one_out instead.
 """
 
 from __future__ import annotations
@@ -461,21 +460,22 @@ def _batching_pays(n, p, sizes):
 
 
 def fit_leave_groups_out(data, model, groups, warm, opts=None):
-    """Refit a smooth-penalty model without each group of rows, from warm.
+    """Refit without each group of rows, from warm, for any penalty.
 
-    warm is the full-data solution; its penalized Hessian, factored once,
-    is the Newton matrix of every refit after a Woodbury correction for the
-    group's rows.  Groups (each one index or a 1-d index array) are refit
-    _REFIT_CHUNK at a time, in order of their smallest row, and yielded in
-    that order as (rows, FitResult).  A refit converges when the gradient
-    sup-norm of its own objective is at most opts.tol.  A full step that
-    passes the Armijo test of the damped Newton method is taken; a refit
-    whose step fails that test, or does not cut that norm by
+    warm is the full-data solution.  Groups (each one index or a 1-d index
+    array) are refit, and yielded as (rows, FitResult), in order of their
+    smallest row.  For a smooth penalty, the penalized Hessian at warm,
+    factored once and corrected by Woodbury for each group's rows, is the
+    Newton matrix of _REFIT_CHUNK refits at a time.  A refit converges when
+    the gradient sup-norm of its own objective is at most opts.tol.  A full
+    step that passes the Armijo test of the damped Newton method is taken;
+    a refit whose step fails that test, or does not cut that norm by
     _REFRESH_RATIO, is handed from its current iterate to
     fit_leave_one_out, whose FitResult it then reports.  opts.max_iter caps
     every refit: its batched steps and the steps of its hand-over together.
-    When _batching_pays says no, or the full-data Hessian is singular, each
-    group is refit by fit_leave_one_out from warm, in the same order.
+    For l1 and elastic net, when _batching_pays says no, or when the
+    full-data Hessian is singular, each group is refit by fit_leave_one_out
+    from warm, in the same order.
     A chunk of m groups of at most k rows holds O(m (n + k p + k^2))
     floats besides X: O((n + p) m) for LO, O(n (K + p + n / K)) for K <= m
     folds.
@@ -486,10 +486,11 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
     order = sorted(
         ((rows, _held_out(rows, data.n)) for rows in groups), key=lambda g: g[1].min()
     )
-    _, _, d2 = _loss_terms(model.loss, data.y, data.X @ warm)
-    _, _, rh = reg_eval(model.reg, warm)
     factor = None
-    if _batching_pays(data.n, data.p, [idx.size for _, idx in order]):
+    sizes = [idx.size for _, idx in order]
+    if model.reg.is_smooth and _batching_pays(data.n, data.p, sizes):
+        _, _, d2 = _loss_terms(model.loss, data.y, data.X @ warm)
+        _, _, rh = reg_eval(model.reg, warm)
         try:
             factor = _hessian_factor(data.X, d2, model.lam * rh)
         except LinAlgError:

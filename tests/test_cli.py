@@ -227,3 +227,44 @@ def test_simulate_on_a_loss_the_oracle_cannot_score_exits_2(table2_cfg, capsys):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert "table2 requires the logistic loss" in err
+
+
+@pytest.mark.parametrize(
+    "old, new, message",
+    [
+        ("sigma = identity/n", "sigma = bogus", "unknown sigma spec"),
+        ("family = linear", "family = linear\nbeta_dist = bogus", "unknown beta_dist"),
+        ("k = 2", "k_ratio = 2", "k exceeds p"),
+        ("family = linear", "family = negative_binomial", "requires shape > 0"),
+    ],
+    ids=["sigma", "beta_dist", "k_above_p", "negative_binomial_without_shape"],
+)
+def test_unusable_design_value_exits_2(tmp_path, capsys, old, new, message):
+    # each of these used to pass load_config and fail with a traceback in
+    # the first replicate
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_LO.replace(old, new))
+    assert main(["lo", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+
+
+@pytest.mark.parametrize(
+    "extra, message",
+    [
+        ("rep = 100\n", "[experiment] unknown key 'rep'"),
+        ("seeds = 5\n", "[experiment] unknown key 'seeds'"),
+        ("[solvr]\ntol = 1e-12\n", "[solvr] unknown key 'tol'"),
+        ("[solvr]\n", "unknown section [solvr]"),
+    ],
+    ids=["rep", "seeds", "solvr_tol", "empty_section"],
+)
+def test_unknown_config_key_exits_2(tmp_path, capsys, extra, message):
+    bad = tmp_path / "bad.cfg"
+    bad.write_text(TINY_LO + extra)
+    assert main(["lo", "--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+

@@ -6,7 +6,14 @@ import pytest
 from scipy.special import expit
 
 from loorisk import risk, solver
-from loorisk.datagen import CovSpec, gen_beta_star, gen_design, gen_response
+from loorisk.cli import load_config
+from loorisk.datagen import (
+    CovSpec,
+    gen_beta_star,
+    gen_design,
+    gen_replicate,
+    gen_response,
+)
 from loorisk.losses import LossSpec, loss_eval
 from loorisk.regularizers import RegSpec
 from loorisk.risk import alo, fold_assignments, kfold_cv, lo_exact, refits
@@ -540,3 +547,112 @@ def test_few_large_folds_refit_one_group_at_a_time(monkeypatch):
     assert [len(held) for held in blocks] == [5]
     lo_exact(data, model, full_fit=full)
     assert [len(held) for held in blocks] == [5, data.n]
+
+
+@pytest.mark.parametrize(
+    "reg", [RegSpec("l1"), RegSpec("elastic_net", mix=0.5)], ids=["l1", "elastic_net"]
+)
+def test_leave_groups_out_refits_l1_and_elastic_net(reg):
+    # the one refit route: groups come back in order of their smallest row,
+    # each bit for bit the refit of fit_leave_one_out from the same start
+    data = enet_instance(7)
+    model = ModelSpec(LossSpec("squared"), reg, lam=1.0)
+    full = fit(data, model, PROX_OPTS)
+    groups = [np.array([9, 3]), 12, np.array([30, 0, 17]), 5]
+    out = list(fit_leave_groups_out(data, model, groups, full.beta_hat, PROX_OPTS))
+    assert [int(np.min(rows)) for rows, _ in out] == [0, 3, 5, 12]
+    for rows, res in out:
+        alone = fit_leave_one_out(data, model, rows, warm=full.beta_hat, opts=PROX_OPTS)
+        assert res.converged
+        assert np.array_equal(res.beta_hat, alone.beta_hat)
+
+
+def figure1_desk_replicate(rep):
+    sim, model, opts = load_config(preset="figure1_desk")
+    X, _, y, _ = gen_replicate(sim, sim.ns[0], rep)
+    return Dataset(X, y), model, opts
+
+
+@pytest.mark.parametrize("rep", [0, 1, 2])
+def test_elastic_net_alo_with_an_active_set_larger_than_n(rep):
+    # figure1_desk has more active coordinates than its n = 50 rows; the
+    # curvature lam (1 - mix) of the quadratic part keeps the restricted
+    # matrix positive definite
+    data, model, opts = figure1_desk_replicate(rep)
+    full = fit(data, model, opts)
+    cols = np.flatnonzero(full.beta_hat)
+    assert cols.size > data.n
+    # reference: q_i = x_{i,S}^T A^{-1} x_{i,S} with
+    # A = X_S^T X_S + lam (1 - mix) I, and z_i + q_i d1_i / (1 - q_i) scored
+    # by the half squared error
+    z = data.X @ full.beta_hat
+    Xs = data.X[:, cols]
+    A = Xs.T @ Xs + model.lam * (1.0 - model.reg.mix) * np.eye(cols.size)
+    q = np.sum(Xs * np.linalg.solve(A, Xs.T).T, axis=1)
+    z_loo = z + q * (z - data.y) / (1.0 - q)
+    expected = 0.5 * (data.y - z_loo) ** 2
+
+    report = alo(data, model, full)
+    assert np.array_equal(report.active_set, cols)
+    assert report.n_flagged == 0
+    assert np.allclose(report.per_sample, expected, rtol=1e-9, atol=1e-12)
+
+
+@pytest.mark.parametrize(
+    "reg", [RegSpec("l1"), RegSpec("elastic_net", mix=1.0)], ids=["l1", "mix_1"]
+)
+def test_alo_refuses_an_active_set_larger_than_n_without_curvature(reg):
+    # three copies of each of 3 columns on 4 rows: a fit from zero moves the
+    # copies alike, so 9 coordinates are active against n = 4
+    rng = np.random.default_rng(5)
+    A = rng.standard_normal((4, 3))
+    data = Dataset(np.hstack([A, A, A]), rng.standard_normal(4))
+    model = ModelSpec(LossSpec("squared"), reg, lam=0.01)
+    full = fit(data, model, PROX_OPTS)
+    assert np.count_nonzero(full.beta_hat) > data.n
+    with pytest.raises(SolverError, match="exceeds n=4"):
+        alo(data, model, full)
+
+
+@pytest.mark.parametrize("n, p", [(40, 20), (100, 100), (200, 400)])
+@pytest.mark.parametrize(
+    "loss, reg",
+    [
+        ("logistic", "ridge"),
+        ("logistic", "smoothed_elastic_net"),
+        ("squared", "ridge"),
+    ],
+)
+def test_alo_is_the_first_step_of_the_refit_engine(monkeypatch, loss, reg, n, p):
+    # one batched step from beta_hat, on the full-data Hessian corrected for
+    # row i by Woodbury, puts x_i^T beta_/i at ALO's z_i + q_i ell'_i / (1 - h_i)
+    loss_spec, family = GLM_LOSSES[loss]
+    X = gen_design(n, p, CovSpec("scaled_identity", 1.0 / n), seed=31)
+    beta_star = gen_beta_star(p, p // 10, "laplace_unit", seed=31)
+    data = Dataset(X, gen_response(X, beta_star, family, seed=31, noise_var=1.0))
+    model = ModelSpec(loss_spec, SMOOTH_REGS[reg], lam=0.1)
+    full = fit(data, model, SolverOpts(tol=1e-12))
+    assert full.converged
+    real_fit, hand_overs = solver.fit, []
+
+    def counting_fit(*args, **kwargs):
+        hand_overs.append(1)
+        return real_fit(*args, **kwargs)
+
+    monkeypatch.setattr(solver, "fit", counting_fit)
+    one_step = SolverOpts(max_iter=1)
+    refit = fit_leave_groups_out(data, model, range(n), full.beta_hat, one_step)
+    z_step = np.array([data.X[i] @ res.beta_hat for i, res in refit])
+    monkeypatch.setattr(solver, "fit", real_fit)
+    assert hand_overs == []
+
+    report = alo(data, model, full)
+    z = data.X @ full.beta_hat
+    _, d1, d2 = loss_eval(loss_spec, data.y, z)
+    h = report.h_diag
+    z_alo = z + (h / d2) * d1 / (1.0 - h)
+    assert np.max(np.abs(z_step - z_alo)) <= 1e-9
+    if (loss, reg) == ("squared", "ridge"):
+        # the step is exact on a quadratic
+        lo = lo_exact(data, model, full_fit=full)
+        assert np.array_equal(loss_eval(loss_spec, data.y, z_step)[0], lo.per_sample)
