@@ -23,7 +23,7 @@ from loorisk import (
 
 config = SimConfig(
     ns=(60,), p=60, k=6, sigma="identity/n", family="logistic",
-    lam=0.1, reps=1, seed=42,
+    reps=1, seed=42,
 )
 model = ModelSpec(LossSpec("logistic"), RegSpec("ridge"), lam=0.1)
 

@@ -25,7 +25,7 @@ print()
 
 config = SimConfig(
     ns=(60, 120), p_ratio=1.0, k_ratio=0.1, sigma="identity/n",
-    family="logistic", lam=lam, reps=25, seed=7,
+    family="logistic", reps=25, seed=7,
 )
 model = ModelSpec(LossSpec("logistic"), RegSpec("ridge"), lam=lam)
 result = run_table2(config, model)

@@ -13,7 +13,7 @@ from loorisk import LossSpec, ModelSpec, RegSpec, SimConfig, run_figure1
 config = SimConfig(
     ns=(50,), p=200, k=10, sigma="identity", noise_var=2.0,
     beta_dist="constant:0.7453559924999299",  # Var(x' beta*) = 50/9
-    family="linear", lam=1.0, reps=12, seed=3, k_folds=(3, 5, 7),
+    family="linear", reps=12, seed=3, k_folds=(3, 5, 7),
 )
 model = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=1.0)
 

@@ -11,7 +11,7 @@ from loorisk import LossSpec, ModelSpec, RegSpec, SimConfig, run_table1
 config = SimConfig(
     ns=(30, 60, 90), p_ratio=10.0, k_ratio=0.1, sigma="identity/n",
     noise_var=1.0, beta_dist="laplace_unit", family="linear",
-    lam=5.0, reps=20, seed=11,
+    reps=20, seed=11,
 )
 model = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=5.0)
 

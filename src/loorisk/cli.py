@@ -29,7 +29,7 @@ from .bounds import (
     compute_Cv_logistic,
     pick_audit_indices,
 )
-from .datagen import SimConfig, _response, gen_beta_star
+from .datagen import SimConfig
 from .experiments import (
     _fitted_replicate,
     check_study,
@@ -43,13 +43,9 @@ from .reporting import write_results
 from .risk import alo, kfold_cv, lo_exact, refits
 from .solver import Dataset, ModelSpec, SolverError, SolverOpts, fit
 
-PRESETS = (
-    "table1_desk",
-    "table1_full",
-    "table2_desk",
-    "table2_full",
-    "figure1_desk",
-    "figure1_full",
+_PRESET_DIR = resources.files("loorisk") / "presets"
+PRESETS = tuple(
+    sorted(f.name[:-4] for f in _PRESET_DIR.iterdir() if f.name.endswith(".cfg"))
 )
 
 
@@ -66,6 +62,39 @@ def _list_of(cast):
     return parse
 
 
+# (section, key) -> (object, field, cast).  The dataclasses own every default:
+# a key missing from the file is not passed on.  [experiment] kind names the
+# study a config was written for; it is read but selects nothing.
+_KEYS = {
+    ("design", "ns"): ("sim", "ns", _list_of(int)),
+    ("design", "p"): ("sim", "p", int),
+    ("design", "p_ratio"): ("sim", "p_ratio", float),
+    ("design", "k"): ("sim", "k", int),
+    ("design", "k_ratio"): ("sim", "k_ratio", float),
+    ("design", "sigma"): ("sim", "sigma", str),
+    ("design", "noise_var"): ("sim", "noise_var", float),
+    ("design", "beta_dist"): ("sim", "beta_dist", str),
+    ("design", "family"): ("sim", "family", str),
+    ("design", "shape"): ("sim", "shape", float),
+    ("experiment", "kind"): (None, "kind", str),
+    ("experiment", "reps"): ("sim", "reps", int),
+    ("experiment", "seed"): ("sim", "seed", int),
+    ("experiment", "k_folds"): ("sim", "k_folds", _list_of(int)),
+    ("experiment", "lambdas"): ("sim", "lambdas", _list_of(float)),
+    ("model", "lambda"): ("model", "lam", float),
+    ("model", "loss"): ("loss", "family", str),
+    ("model", "huber_scale"): ("loss", "huber_scale", float),
+    ("model", "smooth_scale"): ("loss", "smooth_scale", float),
+    ("model", "shape"): ("loss", "shape", float),
+    ("model", "reg"): ("reg", "family", str),
+    ("model", "mix"): ("reg", "mix", float),
+    ("model", "sharpness"): ("reg", "smooth_sharpness", float),
+    ("solver", "tol"): ("opts", "tol", float),
+    ("solver", "max_iter"): ("opts", "max_iter", int),
+}
+_SECTIONS = {section for section, _ in _KEYS}
+
+
 def load_config_text(text, source="<config>"):
     """Parse a config into (SimConfig, ModelSpec, SolverOpts)."""
     parser = configparser.ConfigParser()
@@ -76,65 +105,33 @@ def load_config_text(text, source="<config>"):
     for section in ("design", "model"):
         if not parser.has_section(section):
             raise ConfigError(f"missing required section [{section}]")
-    read = set()  # every (section, key) of the schema; the rest is rejected
-
-    def scalar(section, key, cast=str, default=None, required=False):
-        read.add((section, key))
+    for section, key in (("design", "ns"), ("model", "lambda")):
         if not parser.has_option(section, key):
-            if required:
-                raise ConfigError(f"[{section}] is missing required key {key!r}")
-            return default
-        raw = parser.get(section, key)
-        try:
-            return cast(raw)
-        except ValueError as exc:
-            raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+            raise ConfigError(f"[{section}] is missing required key {key!r}")
 
-    ns = scalar("design", "ns", _list_of(int), required=True)
-    exp = "experiment"
-    lam = scalar("model", "lambda", float, required=True)
-    scalar(exp, "kind")  # the study the config was written for; not a selector
+    fields = {None: {}, "sim": {}, "model": {}, "opts": {}}
+    fields["loss"] = {"family": "squared"}  # the only defaults the CLI adds
+    fields["reg"] = {"family": "ridge"}
+    for section in parser.sections():
+        for key in parser.options(section):
+            if (section, key) not in _KEYS:
+                raise ConfigError(f"[{section}] unknown key {key!r}")
+            target, name, cast = _KEYS[section, key]
+            raw = parser.get(section, key)
+            try:
+                fields[target][name] = cast(raw)
+            except ValueError as exc:
+                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
+        if section not in _SECTIONS:
+            raise ConfigError(f"unknown section [{section}]")
+
     try:
-        sim = SimConfig(
-            ns=ns,
-            p=scalar("design", "p", int),
-            p_ratio=scalar("design", "p_ratio", float),
-            k=scalar("design", "k", int),
-            k_ratio=scalar("design", "k_ratio", float),
-            sigma=scalar("design", "sigma", default="identity/n"),
-            noise_var=scalar("design", "noise_var", float, 1.0),
-            beta_dist=scalar("design", "beta_dist", default="laplace_unit"),
-            family=scalar("design", "family", default="linear"),
-            lam=lam,
-            reps=scalar(exp, "reps", int, 1),
-            seed=scalar(exp, "seed", int, 0),
-            k_folds=scalar(exp, "k_folds", _list_of(int)),
-            lambdas=scalar(exp, "lambdas", _list_of(float)),
-            shape=scalar("design", "shape", float),
-        )
-        # a replicate parses these values when it is drawn: probe them now, so
-        # that one no replicate can use is a config error, not a failed study
-        for n in sim.ns:
-            sim.sigma_for(n)
-            sim.k_for(n)
-        gen_beta_star(1, 1, sim.beta_dist, sim.seed)
-        _response(np.zeros(1), sim.family, sim.seed, sim.noise_var, sim.shape)
+        sim = SimConfig(**fields["sim"])
     except ValueError as exc:
         raise ConfigError(f"[design]/[experiment]: {exc}") from exc
-
     try:
-        loss = LossSpec(
-            family=scalar("model", "loss", default="squared"),
-            huber_scale=scalar("model", "huber_scale", float),
-            smooth_scale=scalar("model", "smooth_scale", float),
-            shape=scalar("model", "shape", float),
-        )
-        reg = RegSpec(
-            family=scalar("model", "reg", default="ridge"),
-            mix=scalar("model", "mix", float),
-            smooth_sharpness=scalar("model", "sharpness", float),
-        )
-        model = ModelSpec(loss=loss, reg=reg, lam=lam)
+        loss, reg = LossSpec(**fields["loss"]), RegSpec(**fields["reg"])
+        model = ModelSpec(loss, reg, **fields["model"])
     except ValueError as exc:
         raise ConfigError(f"[model]: {exc}") from exc
     # loss domains nest ({0, 1} within the counts within the reals), so a
@@ -145,22 +142,10 @@ def load_config_text(text, source="<config>"):
     except ValueError as exc:
         msg = f"[model] loss cannot score family = {sim.family}: {exc}"
         raise ConfigError(msg) from exc
-
     try:
-        opts = SolverOpts(
-            tol=scalar("solver", "tol", float, SolverOpts.tol),
-            max_iter=scalar("solver", "max_iter", int, SolverOpts.max_iter),
-        )
+        opts = SolverOpts(**fields["opts"])
     except ValueError as exc:
         raise ConfigError(f"[solver]: {exc}") from exc
-
-    sections = {section for section, _ in read}
-    for section in parser.sections():
-        for key in parser.options(section):
-            if (section, key) not in read:
-                raise ConfigError(f"[{section}] unknown key {key!r}")
-        if section not in sections:
-            raise ConfigError(f"unknown section [{section}]")
     return sim, model, opts
 
 
@@ -172,9 +157,7 @@ def load_config(path=None, preset=None):
             raise ConfigError(
                 f"unknown preset {preset!r}; available: {', '.join(PRESETS)}"
             )
-        text = (
-            resources.files("loorisk").joinpath("presets", f"{preset}.cfg").read_text()
-        )
+        text = (_PRESET_DIR / f"{preset}.cfg").read_text()
         return load_config_text(text, source=f"preset:{preset}")
     try:
         with open(path) as fh:

@@ -20,8 +20,6 @@ _DOMAIN_DESIGN = 1
 _DOMAIN_BETA = 2
 _DOMAIN_RESPONSE = 3
 
-RESPONSE_FAMILIES = ("linear", "logistic", "poisson_softrect", "negative_binomial")
-
 
 def substream(seed, *path):
     """Independent Generator keyed by (seed, *path)."""
@@ -133,10 +131,18 @@ def gen_beta_star(p, k, beta_dist, seed, support="first"):
         scale = 1.0 / np.sqrt(2.0)
         beta[idx] = -scale * np.sign(u) * np.log1p(-2.0 * np.abs(u))
     elif beta_dist.startswith("constant:"):
-        beta[idx] = float(beta_dist.split(":", 1)[1])
+        beta[idx] = _spec_number("beta_dist", beta_dist)
     else:
         raise ValueError(f"unknown beta_dist {beta_dist!r}")
     return beta
+
+
+def _spec_number(key, spec):
+    """The number after the colon of a "<kind>:<number>" spec value."""
+    try:
+        return float(spec.split(":", 1)[1])
+    except ValueError as exc:
+        raise ValueError(f"{key} = {spec!r}: {exc}") from None
 
 
 def gen_response(X, beta_star, family, seed, noise_var=None, shape=None):
@@ -173,7 +179,8 @@ class SimConfig:
     """One simulation study: a sweep over n with a fixed design recipe.
 
     p and k are given either directly or as ratios of n (p_ratio, k_ratio);
-    sigma is "identity", "identity/n", or "scale:<c>".
+    sigma is "identity", "identity/n", or "scale:<c>".  A design that some
+    replicate could not draw is refused here; lambda lives on ModelSpec.
     """
 
     ns: tuple = (100,)
@@ -185,7 +192,6 @@ class SimConfig:
     noise_var: float = 1.0
     beta_dist: str = "laplace_unit"
     family: str = "linear"
-    lam: float = 1.0
     reps: int = 1
     seed: int = 0
     k_folds: tuple | None = None
@@ -204,14 +210,24 @@ class SimConfig:
             raise ValueError("exactly one of p, p_ratio must be set")
         if (self.k is None) == (self.k_ratio is None):
             raise ValueError("exactly one of k, k_ratio must be set")
-        if self.family not in RESPONSE_FAMILIES:
-            raise ValueError(f"unknown response family {self.family!r}")
+        # a replicate parses these values when it is drawn: probe them now,
+        # so that a design no replicate can use is refused where it is built
+        for n in self.ns:
+            self.sigma_for(n)
+            self.k_for(n)
+        gen_beta_star(1, 1, self.beta_dist, self.seed)
+        _response(np.zeros(1), self.family, self.seed, self.noise_var, self.shape)
 
     def p_for(self, n):
-        return self.p if self.p is not None else int(round(self.p_ratio * n))
+        p = self.p if self.p is not None else int(round(self.p_ratio * n))
+        if p < 1:
+            raise ValueError(f"p = {p} at n = {n}; p must be >= 1")
+        return p
 
     def k_for(self, n):
         k = self.k if self.k is not None else int(round(self.k_ratio * n))
+        if k < 0:
+            raise ValueError(f"k = {k} at n = {n}; k must be >= 0")
         if k > self.p_for(n):
             raise ValueError("k exceeds p")
         return k
@@ -222,7 +238,7 @@ class SimConfig:
         if self.sigma == "identity/n":
             return CovSpec("scaled_identity", 1.0 / n)
         if self.sigma.startswith("scale:"):
-            return CovSpec("scaled_identity", float(self.sigma.split(":", 1)[1]))
+            return CovSpec("scaled_identity", _spec_number("sigma", self.sigma))
         raise ValueError(f"unknown sigma spec {self.sigma!r}")
 
 

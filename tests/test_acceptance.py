@@ -44,7 +44,7 @@ def report(criterion, ok, detail, elapsed):
 def table2_full_n100():
     config = SimConfig(
         ns=(100,), p_ratio=1.0, k_ratio=0.1, sigma="identity/n",
-        beta_dist="laplace_unit", family="logistic", lam=0.1, reps=100, seed=7,
+        beta_dist="laplace_unit", family="logistic", reps=100, seed=7,
     )
     start = time.perf_counter()
     result = run_table2(config, TABLE2_MODEL)
@@ -55,7 +55,7 @@ def table2_full_n100():
 def table2_slope_run():
     config = SimConfig(
         ns=(100, 300, 500), p_ratio=1.0, k_ratio=0.1, sigma="identity/n",
-        beta_dist="laplace_unit", family="logistic", lam=0.1, reps=50, seed=7,
+        beta_dist="laplace_unit", family="logistic", reps=50, seed=7,
     )
     start = time.perf_counter()
     result = run_table2(config, TABLE2_MODEL)
@@ -297,7 +297,7 @@ def test_criterion_9_assumption_audits():
     def audited_instance(family, n, p, lam, seed):
         config = SimConfig(
             ns=(n,), p=p, k=max(1, p // 10), sigma="identity/n",
-            noise_var=1.0, family=family, lam=lam, reps=1, seed=seed,
+            noise_var=1.0, family=family, reps=1, seed=seed,
         )
         X, _, y, _ = gen_replicate(config, n, 0)
         loss = LossSpec("logistic" if family == "logistic" else "squared")

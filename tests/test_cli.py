@@ -7,6 +7,9 @@ from loorisk.cli import PRESETS, load_config, main
 from loorisk.experiments import ExperimentResult
 from loorisk.reporting import to_jsonable, write_results
 from loorisk.datagen import SimConfig
+from loorisk.losses import LossSpec
+from loorisk.regularizers import RegSpec
+from loorisk.solver import ModelSpec, SolverOpts
 
 TINY_TABLE2 = """
 [design]
@@ -165,7 +168,7 @@ def test_manifest_digests_verify(lo_cfg, tmp_path):
 
 
 def test_empty_experiment_writes_header_only(tmp_path):
-    config = SimConfig(ns=(10,), p=5, k=1, lam=1.0)
+    config = SimConfig(ns=(10,), p=5, k=1)
     empty = ExperimentResult("table2", [], None, config)
     paths = write_results(empty, tmp_path / "empty")
     lines = paths[0].read_text().splitlines()
@@ -186,6 +189,20 @@ def test_all_presets_parse():
         sim, model, opts = load_config(preset=preset)
         assert sim.reps >= 1
         assert model.lam > 0
+
+
+def test_presets_are_the_packaged_files():
+    for preset in ("table1", "table2", "figure1"):
+        assert {f"{preset}_desk", f"{preset}_full"} <= set(PRESETS)
+
+
+def test_missing_keys_take_the_dataclass_defaults(tmp_path):
+    path = tmp_path / "minimal.cfg"
+    path.write_text("[design]\nns = 30, 20\np = 8\nk = 2\n[model]\nlambda = 0.3\n")
+    sim, model, opts = load_config(path=str(path))
+    assert sim == SimConfig(ns=(20, 30), p=8, k=2)
+    assert model == ModelSpec(LossSpec("squared"), RegSpec("ridge"), 0.3)
+    assert opts == SolverOpts()
 
 
 def test_seed_override_changes_results(lo_cfg, tmp_path):
@@ -236,8 +253,23 @@ def test_simulate_on_a_loss_the_oracle_cannot_score_exits_2(table2_cfg, capsys):
         ("family = linear", "family = linear\nbeta_dist = bogus", "unknown beta_dist"),
         ("k = 2", "k_ratio = 2", "k exceeds p"),
         ("family = linear", "family = negative_binomial", "requires shape > 0"),
+        ("ns = 12\np = 6\nk = 2", "ns = 40\np_ratio = 0.01\nk = 0", "p must be >= 1"),
+        ("sigma = identity/n", "sigma = scale:x", "sigma = 'scale:x'"),
+        (
+            "family = linear",
+            "family = linear\nbeta_dist = constant:x",
+            "beta_dist = 'constant:x'",
+        ),
     ],
-    ids=["sigma", "beta_dist", "k_above_p", "negative_binomial_without_shape"],
+    ids=[
+        "sigma",
+        "beta_dist",
+        "k_above_p",
+        "negative_binomial_without_shape",
+        "p_below_1",
+        "sigma_scale_not_a_number",
+        "beta_dist_constant_not_a_number",
+    ],
 )
 def test_unusable_design_value_exits_2(tmp_path, capsys, old, new, message):
     # each of these used to pass load_config and fail with a traceback in

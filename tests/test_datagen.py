@@ -129,7 +129,7 @@ def test_substreams_have_distinct_fingerprints():
 def test_replicates_are_reproducible():
     config = SimConfig(
         ns=(25,), p_ratio=2.0, k_ratio=0.2, sigma="identity/n",
-        family="linear", lam=1.0, reps=3, seed=42,
+        family="linear", reps=3, seed=42,
     )
     X1, b1, y1, _ = gen_replicate(config, 25, 1)
     X2, b2, y2, _ = gen_replicate(config, 25, 1)
@@ -140,12 +140,24 @@ def test_replicates_are_reproducible():
 
 def test_sim_config_validation():
     with pytest.raises(ValueError):
-        SimConfig(ns=(10,), p=5, p_ratio=2.0, k=1, lam=1.0)
+        SimConfig(ns=(10,), p=5, p_ratio=2.0, k=1)
     with pytest.raises(ValueError):
-        SimConfig(ns=(10,), p=5, k=1, k_ratio=0.1, lam=1.0)
+        SimConfig(ns=(10,), p=5, k=1, k_ratio=0.1)
     with pytest.raises(ValueError):
-        SimConfig(ns=(10,), p=5, k=1, lam=1.0, family="gamma")
-    cfg = SimConfig(ns=(10,), p=5, k=6, lam=1.0)
-    with pytest.raises(ValueError):
-        cfg.k_for(10)
-    assert SimConfig(ns=(10,), p_ratio=3.0, k_ratio=0.1, lam=1.0).p_for(10) == 30
+        SimConfig(ns=(10,), p=5, k=1, family="gamma")
+    with pytest.raises(ValueError, match="k exceeds p"):
+        SimConfig(ns=(10,), p=5, k=6)
+    with pytest.raises(ValueError, match="p must be >= 1"):
+        SimConfig(ns=(40, 200), p_ratio=0.01, k=0)
+    # a design that no replicate could draw is refused when it is built
+    for bad in (
+        dict(sigma="bogus"),
+        dict(sigma="scale:x"),
+        dict(beta_dist="constant:x"),
+        dict(family="negative_binomial"),
+        dict(noise_var=-1.0),
+        dict(k=-1),
+    ):
+        with pytest.raises(ValueError):
+            SimConfig(**(dict(ns=(10,), p=5, k=1) | bad))
+    assert SimConfig(ns=(10,), p_ratio=3.0, k_ratio=0.1).p_for(10) == 30

@@ -24,7 +24,7 @@ TABLE1_MODEL = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), l
 def tiny_table2_config(**over):
     base = dict(
         ns=(30,), p_ratio=1.0, k_ratio=0.1, sigma="identity/n",
-        family="logistic", lam=0.1, reps=3, seed=5,
+        family="logistic", reps=3, seed=5,
     )
     base.update(over)
     return SimConfig(**base)
@@ -124,7 +124,7 @@ def test_table2_rejects_wrong_family():
 def test_table1_smoke_and_slope_fit():
     config = SimConfig(
         ns=(20, 30, 40), p_ratio=2.0, k_ratio=0.1, sigma="identity/n",
-        noise_var=1.0, family="linear", lam=5.0, reps=3, seed=9,
+        noise_var=1.0, family="linear", reps=3, seed=9,
     )
     result = run_table1(config, TABLE1_MODEL)
     assert [r["n"] for r in result.rows] == [20, 30, 40]
@@ -137,7 +137,7 @@ def test_figure1_structure_and_oracle_column():
     config = SimConfig(
         ns=(16,), p=30, k=3, sigma="identity", noise_var=2.0,
         beta_dist="constant:0.23570226039551587", family="linear",
-        lam=1.0, reps=4, seed=13, k_folds=(3, 5),
+        reps=4, seed=13, k_folds=(3, 5),
     )
     model = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=1.0)
     result = run_figure1(config, model)
@@ -154,7 +154,7 @@ def test_figure1_structure_and_oracle_column():
 def test_figure1_requires_folds():
     config = SimConfig(
         ns=(16,), p=30, k=3, sigma="identity", noise_var=2.0,
-        family="linear", lam=1.0, reps=2, seed=13,
+        family="linear", reps=2, seed=13,
     )
     model = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=1.0)
     with pytest.raises(ValueError):
@@ -165,7 +165,7 @@ def tiny_figure1_config(**over):
     base = dict(
         ns=(16,), p=30, k=3, sigma="identity", noise_var=2.0,
         beta_dist="constant:0.23570226039551587", family="linear",
-        lam=1.0, reps=2, seed=13, k_folds=(3,),
+        reps=2, seed=13, k_folds=(3,),
     )
     base.update(over)
     return SimConfig(**base)
@@ -194,7 +194,7 @@ def test_figure1_names_the_replicate_of_a_failing_refit(monkeypatch):
     config = SimConfig(
         ns=(16,), p=30, k=3, sigma="identity", noise_var=2.0,
         beta_dist="constant:0.23570226039551587", family="linear",
-        lam=1.0, reps=2, seed=13, k_folds=(3,),
+        reps=2, seed=13, k_folds=(3,),
     )
     model = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=1.0)
     # a replicate makes 16 LO refits, then 3 fold refits: refit 37 is the
@@ -218,7 +218,7 @@ def test_figure1_names_the_replicate_of_a_failing_refit(monkeypatch):
     [
         (
             run_table1,
-            SimConfig(ns=(20,), p_ratio=2.0, k_ratio=0.1, family="linear", lam=5.0),
+            SimConfig(ns=(20,), p_ratio=2.0, k_ratio=0.1, family="linear"),
             replace(TABLE1_MODEL, loss=LossSpec("pseudo_huber", huber_scale=1.0)),
         ),
         (
