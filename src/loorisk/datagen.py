@@ -238,7 +238,10 @@ class SimConfig:
         if self.sigma == "identity/n":
             return CovSpec("scaled_identity", 1.0 / n)
         if self.sigma.startswith("scale:"):
-            return CovSpec("scaled_identity", _spec_number("sigma", self.sigma))
+            scale = _spec_number("sigma", self.sigma)
+            if not scale > 0:
+                raise ValueError(f"sigma = {self.sigma!r}: scale must be positive")
+            return CovSpec("scaled_identity", scale)
         raise ValueError(f"unknown sigma spec {self.sigma!r}")
 
 

@@ -86,7 +86,7 @@ def _loss_terms(spec, y, z):
     f = spec.family
     if f == "squared":
         r = z - y
-        return 0.5 * r * r, r, np.ones_like(r)
+        return 0.5 * r * r, r, np.ones(r.shape)
     if f == "logistic":
         s = expit(z)
         return _softplus(z) - y * z, s - y, s * (1.0 - s)

@@ -62,7 +62,7 @@ def _smooth_abs_parts(beta, sharpness):
 
 def _dot(a, b):
     # a @ b for vectors; the row-wise products for m x p blocks
-    return a @ b if a.ndim == 1 else np.einsum("ij,ij->i", a, b)
+    return a @ b if a.ndim == 1 else (a * b).sum(axis=1)
 
 
 def reg_value(spec, beta):
@@ -78,11 +78,11 @@ def reg_value(spec, beta):
         v, _, _ = _smooth_abs_parts(beta, spec.smooth_sharpness)
         value = _dot(spec.mix * beta, beta) + (1.0 - spec.mix) * np.sum(v, axis=-1)
     elif f == "l1":
-        value = np.sum(np.abs(beta), axis=-1)
+        value = np.abs(beta).sum(axis=-1)
     else:  # elastic_net
-        value = _dot(0.5 * (1.0 - spec.mix) * beta, beta) + spec.mix * np.sum(
-            np.abs(beta), axis=-1
-        )
+        value = _dot(0.5 * (1.0 - spec.mix) * beta, beta) + spec.mix * np.abs(
+            beta
+        ).sum(axis=-1)
     return float(value) if beta.ndim == 1 else value
 
 
@@ -108,19 +108,27 @@ def prox_step(spec, v, step, lam):
     """argmin_b 0.5 ||b - v||^2 + step * lam * r(b), coordinatewise.
 
     Soft-thresholding for l1; soft-thresholding plus quadratic shrinkage
-    for elastic_net.  Raises ValueError for smooth families.
+    for elastic_net.  step is a scalar, or for an m x p block v an m x 1
+    column of per-row steps.  Raises ValueError for smooth families.
     """
     if spec.is_smooth:
         raise ValueError(f"prox_step requires l1 or elastic_net, got {spec.family}")
-    if step <= 0 or lam <= 0:
+    if np.any(np.asarray(step) <= 0) or lam <= 0:
         raise ValueError("step and lam must be positive")
-    v = np.asarray(v, dtype=float)
+    return _prox(np.asarray(v, dtype=float), *_prox_params(spec, step, lam))
+
+
+def _prox_params(spec, step, lam):
+    """Threshold and shrink divisor of prox_step at these steps, unchecked."""
     if spec.family == "l1":
         thresh = step * lam
-        return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
-    thresh = step * lam * spec.mix
-    shrink = 1.0 + step * lam * (1.0 - spec.mix)
-    return np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0) / shrink
+        return thresh, np.ones_like(thresh)
+    return step * lam * spec.mix, 1.0 + step * lam * (1.0 - spec.mix)
+
+
+def _prox(v, thresh, shrink):
+    """prox_step from its _prox_params: the kernel FISTA iterates."""
+    return np.copysign(np.maximum(np.abs(v) - thresh, 0.0) / shrink, v)
 
 
 def strong_convexity_lower(spec, lam):

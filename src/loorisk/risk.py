@@ -2,8 +2,9 @@
 
 refits yields one refit per held-out group of rows, warm-started at the
 full-data solution, for every penalty through solver.fit_leave_groups_out,
-which batches smooth-penalty refits and refits the rest one group at a
-time; it is the only loop over held-out sets.  lo_exact holds out each row,
+which refits a block of groups at a time (Woodbury-corrected Newton for
+smooth penalties, lockstep FISTA for l1 and elastic net); it is the only
+loop over held-out sets.  lo_exact holds out each row,
 kfold_cv each fold of a seeded shuffle, and both score the held-out rows
 against their refit.  alo replaces the refits with a single
 factorization plus rank-one leverage corrections.  Each estimator checks

@@ -5,30 +5,35 @@ objectives (ridge / smoothed elastic net) use a damped Newton method with
 Armijo backtracking; the factorized Hessian is reused across steps and
 refreshed only when progress degrades, which keeps warm-started refits at
 roughly one factorization each.  l1-composite objectives use a monotone
-FISTA with backtracking step size and adaptive restart.
+FISTA with backtracking step size and adaptive restart, written once as a
+block of fits run in lockstep; fit is its one-row case.
 
 fit_leave_one_out refits without one row or a set of rows.
 fit_leave_groups_out, the one route for many refits, refits without each of
-many groups of rows.  For smooth penalties (ridge, smoothed elastic net) the
-full-data Hessian, factored once and corrected for each group's rows by
-Woodbury, drives a fixed-Hessian Newton iteration on a block of refits, and
-a refit that stalls is handed to fit_leave_one_out.  l1 and elastic-net
-groups, and smooth groups so few and large that this setup costs more flops
-than one factorization per group (K-fold with K <= 3 or so), are refit one
-at a time by fit_leave_one_out instead.
+many groups of rows, a block of groups at a time.  For l1 and elastic net
+the block is the FISTA block: each refit is one row, masked to its kept
+data rows, with its own step size, momentum and restarts.  For smooth
+penalties (ridge, smoothed elastic net) the full-data Hessian, factored
+once and corrected for each group's rows by Woodbury, drives a
+fixed-Hessian Newton iteration on the block, and a refit that stalls is
+handed to fit_leave_one_out; smooth groups so few and large that this setup
+costs more flops than one factorization per group (K-fold with K <= 3 or
+so) are refit one at a time by fit_leave_one_out instead.
 """
 
 from __future__ import annotations
 
 import logging
+import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 
 from .losses import LossSpec, _check_response, _loss_terms
-from .regularizers import RegSpec, prox_step, reg_eval, reg_value
+from .regularizers import RegSpec, _prox, _prox_params, reg_eval, reg_value
 
 log = logging.getLogger(__name__)
 
@@ -176,19 +181,37 @@ def _armijo_ok(cand_obj, obj, slope, t=1.0):
     return (slope < 0.0) & (cand_obj <= obj + _ARMIJO * t * slope + noise)
 
 
-def _sigma_max_gram(X, iters=60):
-    """Largest eigenvalue of X^T X by power iteration (deterministic start)."""
+def _sigma_max_gram(X, keep=None, iters=60):
+    """Largest eigenvalue of X_j^T X_j for each row j of keep.
+
+    X_j holds the rows of X that keep[j] (an m x n mask) keeps; keep=None is
+    the one case X_j = X.  Power iteration from one deterministic start.
+    """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(X.shape[1])
     v /= np.linalg.norm(v)
-    s = 0.0
+    V = np.tile(v, (1 if keep is None else keep.shape[0], 1))
+    s = np.zeros(V.shape[0])
     for _ in range(iters):
-        w = X.T @ (X @ v)
-        s = np.linalg.norm(w)
-        if s == 0.0:
-            return 0.0
-        v = w / s
-    return float(s)
+        Z = V @ X.T
+        W = (Z if keep is None else np.where(keep, Z, 0.0)) @ X
+        s = np.sqrt((W * W).sum(axis=1))
+        # a row whose product vanishes stays at 0
+        V = W / np.where(s > 0.0, s, 1.0)[:, None]
+    return s
+
+
+def _block_loss(loss, X, y, Z, keep):
+    """Loss sum, gradient and ell'' of each row b_j of an m x p block.
+
+    Z = B X^T holds the linear predictors of the block.  Row j is scored on
+    the rows of (X, y) that keep[j] keeps (keep is an m x n mask, or None to
+    keep them all); ell'' comes back for all n rows.
+    """
+    values, d1, d2 = _loss_terms(loss, y, Z)
+    if keep is not None:
+        values, d1 = np.where(keep, values, 0.0), np.where(keep, d1, 0.0)
+    return values.sum(axis=1), d1 @ X, d2
 
 
 def _fit_newton(data, model, opts, beta0):
@@ -251,68 +274,161 @@ def _fit_newton(data, model, opts, beta0):
     return FitResult(beta, obj, gnorm, opts.max_iter, gnorm <= opts.tol)
 
 
-def _fit_fista(data, model, opts, beta0):
-    X, y, lam, reg = data.X, data.y, model.lam, model.reg
-    x = beta0
+@lru_cache(maxsize=None)
+def _momentum(n):
+    """FISTA's momentum weights (t_k - 1) / t_{k+1} for k < n, from t_0 = 1.
 
-    def smooth(b):
-        values, d1, _ = _loss_terms(model.loss, y, X @ b)
-        return float(np.sum(values)), X.T @ d1
-
-    def total(smooth_value, b):
-        return smooth_value + lam * reg_value(reg, b)
-
-    def residual(b, gb, L):
-        step = 1.0 / L
-        return float(np.max(np.abs(b - prox_step(reg, b - step * gb, step, lam))))
-
-    _, _, d2 = _loss_terms(model.loss, y, X @ x)
-    L = max(_sigma_max_gram(X) * max(float(np.max(d2)), 1e-12), 1e-12)
-
-    fx, gx = smooth(x)
-    Fx = total(fx, x)
-    res = residual(x, gx, L)
-    if res <= opts.tol:
-        return FitResult(x, Fx, res, 0, True)
-
-    yk, fy, gy = x, fx, gx
-    from_x = True  # candidate will be a plain prox-gradient step from x
+    An n x 1 column, so that w[k] scales the rows of a block; read-only,
+    since every caller shares it.
+    """
+    w = np.empty((n, 1))
     t = 1.0
+    for k in range(n):
+        t_next = 0.5 * (1.0 + math.sqrt(1.0 + 4.0 * t * t))
+        w[k] = (t - 1.0) / t_next
+        t = t_next
+    w.setflags(write=False)
+    return w
+
+
+def _fista_block(X, y, model, B, keep, opts):
+    """FitResults of monotone FISTA from each row of the m x p block B.
+
+    Row j minimizes the loss on the rows of (X, y) that keep[j] keeps (keep
+    is an m x n mask, or None to keep them all) plus lam * r, with its own
+    step size 1/L, momentum and restarts; the rows run in lockstep, one
+    iteration being a few products with X for the whole block.  A row
+    leaves the block when its prox-gradient residual |b - prox(b - g/L)| is
+    at most opts.tol, when backtracking pushes L past 1e25, or when
+    opts.max_iter iterations are used; its FitResult reports the iterations
+    it used.
+    """
+    lam, reg = model.lam, model.reg
+    results = [None] * B.shape[0]
+
+    def smooth(z, kept):
+        return _block_loss(model.loss, X, y, z, kept)[:2]
+
+    def steps(L):
+        """Step 1/L, prox threshold and shrink, and L/2, per entry.
+
+        The per-entry arrays are filled once per change of L, so that the
+        iterations run without broadcasting.
+        """
+        p = X.shape[1]
+        step = np.repeat((1.0 / L)[:, None], p, axis=1)
+        half_L = np.repeat((0.5 * L)[:, None], p, axis=1)
+        return (step, *_prox_params(reg, step, lam), half_L)
+
+    def residual(b, g, step, thresh, shrink):
+        moved = b - _prox(b - step * g, thresh, shrink)
+        return np.abs(moved).max(axis=1, initial=0.0)
+
+    def finish(sel, b, F, res, used, converged):
+        for j, bj, Fj, rj in zip(rows[sel], b[sel], F[sel], res[sel]):
+            results[j] = FitResult(bj.copy(), float(Fj), float(rj), used, converged)
+
+    rows, x = np.arange(B.shape[0]), B
+    zx = x @ X.T
+    fx, gx, d2 = _block_loss(model.loss, X, y, zx, keep)
+    d2max = (d2 if keep is None else np.where(keep, d2, 0.0)).max(axis=1)
+    L = np.maximum(_sigma_max_gram(X, keep) * np.maximum(d2max, 1e-12), 1e-12)
+    Fx = fx + lam * reg_value(reg, x)
+    step, thresh, shrink, half_L = steps(L)
+    res = residual(x, gx, step, thresh, shrink)
+    # yk is the point the next candidate steps from, zx = x X^T, and k
+    # counts the momentum steps since the last restart.  A prox-gradient
+    # step from x itself cannot increase the objective, so it is accepted
+    # outright; a momentum candidate is accepted when its objective is at
+    # most cap, Fx up to rounding-level slack.  Otherwise the momentum is
+    # reset and the next iteration steps from x: cap is +inf while k == 0.
+    # The predictors of yk follow from those of x and of the candidate.
+    yk, fy, gy = x.copy(), fx.copy(), gx.copy()
+    k = np.zeros(rows.size, dtype=int)
+    cap = np.full(rows.size, np.inf)
+    momentum = _momentum(256)
+    # the per-row state; a row that finishes leaves every array of it
+    state = [rows, keep, x, zx, fx, Fx, gx, yk, fy, gy, k, cap, L, res]
+
+    def drop(done):
+        left = ~done
+        return [a if a is None else a[left] for a in state]
+
+    done = res <= opts.tol
     for it in range(1, opts.max_iter + 1):
-        while True:
-            step = 1.0 / L
-            cand = prox_step(reg, yk - step * gy, step, lam)
-            diff = cand - yk
-            f_cand, g_cand = smooth(cand)
-            quad = fy + float(gy @ diff) + 0.5 * L * float(diff @ diff)
-            if f_cand <= quad + 1e-12 * (1.0 + abs(fy)):
-                break
-            L *= 2.0
-            if L > 1e25:
-                log.warning("FISTA backtracking failed to find a valid step size")
-                return FitResult(x, Fx, res, it, False)
-        F_cand = total(f_cand, cand)
-
-        # a prox-gradient step from x itself cannot increase the objective,
-        # so it is accepted outright; momentum candidates are accepted when
-        # monotone up to rounding-level slack, otherwise the momentum is
-        # reset and the next iteration steps from x
-        if from_x or F_cand <= Fx + 1e-14 * (1.0 + abs(Fx)):
-            res = residual(cand, g_cand, L)
-            if res <= opts.tol:
-                return FitResult(cand, F_cand, res, it, True)
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            yk = cand + ((t - 1.0) / t_next) * (cand - x)
-            fy, gy = smooth(yk)
-            from_x = False
-            t = t_next
-            x, fx, Fx, gx = cand, f_cand, F_cand, g_cand
+        if np.count_nonzero(done):
+            finish(done, x, Fx, res, it - 1, True)
+            state = drop(done)
+            rows, keep, x, zx, fx, Fx, gx, yk, fy, gy, k, cap, L, res = state
+            step, thresh, shrink, half_L = steps(L)
+        if not rows.size:
+            break
+        if it > len(momentum):
+            momentum = _momentum(2 * len(momentum))
+        cand = _prox(yk - step * gy, thresh, shrink)
+        zc = cand @ X.T
+        f_cand, g_cand = smooth(zc, keep)
+        diff = cand - yk
+        quad = fy + ((gy + half_L * diff) * diff).sum(axis=1)
+        fits = f_cand <= quad + 1e-12 * (1.0 + np.abs(fy))
+        if np.count_nonzero(fits) < rows.size:
+            # backtracking, on the rows whose step is too long
+            failed = np.zeros(rows.size, dtype=bool)
+            back = np.flatnonzero(~fits)
+            while back.size:
+                L[back] *= 2.0
+                over = L[back] > 1e25
+                if over.any():
+                    log.warning("FISTA backtracking failed to find a valid step size")
+                    failed[back[over]] = True
+                    back = back[~over]
+                sb, tb, kb, hb = steps(L[back])
+                cb = _prox(yk[back] - sb * gy[back], tb, kb)
+                zb = cb @ X.T
+                fb, gb = smooth(zb, None if keep is None else keep[back])
+                db = cb - yk[back]
+                quad = fy[back] + ((gy[back] + hb * db) * db).sum(axis=1)
+                cand[back], zc[back], f_cand[back], g_cand[back] = cb, zb, fb, gb
+                back = back[~(fb <= quad + 1e-12 * (1.0 + np.abs(fy[back])))]
+            if failed.any():
+                finish(failed, x, Fx, res, it, False)
+                state = drop(failed)
+                rows, keep, x, zx, fx, Fx, gx, yk, fy, gy, k, cap, L, res = state
+                cand, zc = cand[~failed], zc[~failed]
+                f_cand, g_cand = f_cand[~failed], g_cand[~failed]
+            step, thresh, shrink, half_L = steps(L)
+        F_cand = f_cand + lam * reg_value(reg, cand)
+        accept = F_cand <= cap
+        if np.count_nonzero(accept) == rows.size:
+            res = residual(cand, g_cand, step, thresh, shrink)
+            w = momentum[k]
+            yk = cand + w * (cand - x)
+            fy, gy = smooth(zc + w * (zc - zx), keep)
+            k = k + 1
+            x, zx, fx, Fx, gx = cand, zc, f_cand, F_cand, g_cand
+            cap = Fx + 1e-14 * (1.0 + np.abs(Fx))
+            done = res <= opts.tol
         else:
-            t = 1.0
-            yk, fy, gy = x, fx, gx
-            from_x = True
-
-    return FitResult(x, Fx, res, opts.max_iter, res <= opts.tol)
+            a, r = np.flatnonzero(accept), np.flatnonzero(~accept)
+            res[a] = residual(cand[a], g_cand[a], step[a], thresh[a], shrink[a])
+            w = momentum[k[a]]
+            yk[a] = cand[a] + w * (cand[a] - x[a])
+            za = zc[a] + w * (zc[a] - zx[a])
+            fy[a], gy[a] = smooth(za, None if keep is None else keep[a])
+            k[a] += 1
+            x[a], zx[a], gx[a] = cand[a], zc[a], g_cand[a]
+            fx[a], Fx[a] = f_cand[a], F_cand[a]
+            cap[a] = Fx[a] + 1e-14 * (1.0 + np.abs(Fx[a]))
+            yk[r], fy[r], gy[r], k[r], cap[r] = x[r], fx[r], gx[r], 0, np.inf
+            done = np.zeros(rows.size, dtype=bool)
+            done[a] = res[a] <= opts.tol
+        state = [rows, keep, x, zx, fx, Fx, gx, yk, fy, gy, k, cap, L, res]
+    else:
+        # the budget is used up: finish the rows that converged in the last
+        # iteration, and report the rest unconverged
+        finish(done, x, Fx, res, opts.max_iter, True)
+        finish(~done, x, Fx, res, opts.max_iter, False)
+    return results
 
 
 def fit(data, model, opts=None, beta0=None):
@@ -328,8 +444,9 @@ def fit(data, model, opts=None, beta0=None):
     beta0 = np.zeros(data.p) if beta0 is None else np.array(beta0, dtype=float)
     if not np.all(np.isfinite(beta0)):
         raise ValueError("non-finite beta0")
-    solve = _fit_newton if model.reg.is_smooth else _fit_fista
-    return solve(data, model, opts, beta0)
+    if model.reg.is_smooth:
+        return _fit_newton(data, model, opts, beta0)
+    return _fista_block(data.X, data.y, model, beta0[None, :], None, opts)[0]
 
 
 def _held_out(rows, n):
@@ -385,11 +502,10 @@ def _refit_block(data, model, held, warm, d2, H_inv, opts):
 
     def evaluate(B, rows):
         """Objective, gradient and its sup-norm of each row of B."""
-        values, d1, _ = _loss_terms(model.loss, y, B @ X.T)
-        kept = keep[rows]
+        loss_sum, loss_grad, _ = _block_loss(model.loss, X, y, B @ X.T, keep[rows])
         rv, rg, _ = reg_eval(model.reg, B)
-        obj = np.sum(np.where(kept, values, 0.0), axis=1) + lam * rv
-        grad = np.where(kept, d1, 0.0) @ X + lam * rg
+        obj = loss_sum + lam * rv
+        grad = loss_grad + lam * rg
         return obj, grad, np.max(np.abs(grad), axis=1, initial=0.0)
 
     results = [None] * m
@@ -464,18 +580,22 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
 
     warm is the full-data solution.  Groups (each one index or a 1-d index
     array) are refit, and yielded as (rows, FitResult), in order of their
-    smallest row.  For a smooth penalty, the penalized Hessian at warm,
-    factored once and corrected by Woodbury for each group's rows, is the
-    Newton matrix of _REFIT_CHUNK refits at a time.  A refit converges when
-    the gradient sup-norm of its own objective is at most opts.tol.  A full
-    step that passes the Armijo test of the damped Newton method is taken;
-    a refit whose step fails that test, or does not cut that norm by
-    _REFRESH_RATIO, is handed from its current iterate to
-    fit_leave_one_out, whose FitResult it then reports.  opts.max_iter caps
-    every refit: its batched steps and the steps of its hand-over together.
-    For l1 and elastic net, when _batching_pays says no, or when the
-    full-data Hessian is singular, each group is refit by fit_leave_one_out
-    from warm, in the same order.
+    smallest row, _REFIT_CHUNK groups at a time as the rows of one block.
+    For l1 and elastic net the block runs the FISTA of fit in lockstep: each
+    refit keeps its own step size, momentum and restarts and stops on the
+    same prox-gradient residual test, so it agrees with fit_leave_one_out to
+    rounding, in the same iterations unless its residual ends a hair from
+    opts.tol.  For a smooth penalty, the penalized Hessian at warm, factored
+    once and corrected by Woodbury for each group's rows, is the Newton
+    matrix of the block.  A refit converges when the gradient sup-norm of
+    its own objective is at most opts.tol.  A full step that passes the
+    Armijo test of the damped Newton method is taken; a refit whose step
+    fails that test, or does not cut that norm by _REFRESH_RATIO, is handed
+    from its current iterate to fit_leave_one_out, whose FitResult it then
+    reports.  opts.max_iter caps every refit: its batched steps and the
+    steps of its hand-over together.  When _batching_pays says no, or when
+    the full-data Hessian is singular, each smooth group is refit by
+    fit_leave_one_out from warm, in the same order.
     A chunk of m groups of at most k rows holds O(m (n + k p + k^2))
     floats besides X: O((n + p) m) for LO, O(n (K + p + n / K)) for K <= m
     folds.
@@ -486,25 +606,37 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
     order = sorted(
         ((rows, _held_out(rows, data.n)) for rows in groups), key=lambda g: g[1].min()
     )
-    factor = None
-    sizes = [idx.size for _, idx in order]
-    if model.reg.is_smooth and _batching_pays(data.n, data.p, sizes):
-        _, _, d2 = _loss_terms(model.loss, data.y, data.X @ warm)
-        _, _, rh = reg_eval(model.reg, warm)
-        try:
-            factor = _hessian_factor(data.X, d2, model.lam * rh)
-        except LinAlgError:
-            log.warning("singular full-data Hessian, refitting one group at a time")
-    if factor is None:
-        for rows, idx in order:
-            yield rows, fit_leave_one_out(data, model, idx, warm=warm, opts=opts)
-        return
-    # one explicit inverse keeps the iterations on numpy's BLAS: numpy and
-    # scipy may each bring their own multi-threaded BLAS, and alternating
-    # between the two costs more than these small products
-    H_inv = cho_solve(factor, np.eye(data.p), check_finite=False)
+    if model.reg.is_smooth:
+        factor = None
+        if _batching_pays(data.n, data.p, [idx.size for _, idx in order]):
+            _, _, d2 = _loss_terms(model.loss, data.y, data.X @ warm)
+            _, _, rh = reg_eval(model.reg, warm)
+            try:
+                factor = _hessian_factor(data.X, d2, model.lam * rh)
+            except LinAlgError:
+                log.warning("singular full-data Hessian, refitting one group at a time")
+        if factor is None:
+            for rows, idx in order:
+                yield rows, fit_leave_one_out(data, model, idx, warm=warm, opts=opts)
+            return
+        # one explicit inverse keeps the iterations on numpy's BLAS: numpy and
+        # scipy may each bring their own multi-threaded BLAS, and alternating
+        # between the two costs more than these small products
+        H_inv = cho_solve(factor, np.eye(data.p), check_finite=False)
+
+        def refit(held):
+            return _refit_block(data, model, held, warm, d2, H_inv, opts)
+
+    else:
+
+        def refit(held):
+            keep = np.ones((len(held), data.n), dtype=bool)
+            for j, idx in enumerate(held):
+                keep[j, idx] = False
+            B = np.tile(warm, (len(held), 1))
+            return _fista_block(data.X, data.y, model, B, keep, opts)
+
     for start in range(0, len(order), _REFIT_CHUNK):
         chunk = order[start : start + _REFIT_CHUNK]
-        held = [idx for _, idx in chunk]
-        results = _refit_block(data, model, held, warm, d2, H_inv, opts)
+        results = refit([idx for _, idx in chunk])
         yield from zip((rows for rows, _ in chunk), results)

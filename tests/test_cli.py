@@ -255,6 +255,7 @@ def test_simulate_on_a_loss_the_oracle_cannot_score_exits_2(table2_cfg, capsys):
         ("family = linear", "family = negative_binomial", "requires shape > 0"),
         ("ns = 12\np = 6\nk = 2", "ns = 40\np_ratio = 0.01\nk = 0", "p must be >= 1"),
         ("sigma = identity/n", "sigma = scale:x", "sigma = 'scale:x'"),
+        ("sigma = identity/n", "sigma = scale:-1", "sigma = 'scale:-1'"),
         (
             "family = linear",
             "family = linear\nbeta_dist = constant:x",
@@ -268,6 +269,7 @@ def test_simulate_on_a_loss_the_oracle_cannot_score_exits_2(table2_cfg, capsys):
         "negative_binomial_without_shape",
         "p_below_1",
         "sigma_scale_not_a_number",
+        "sigma_scale_not_positive",
         "beta_dist_constant_not_a_number",
     ],
 )

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from loorisk import solver
+from loorisk import risk, solver
 from loorisk.datagen import SimConfig
 from loorisk.experiments import (
     fit_loglog_slope,
@@ -199,15 +199,15 @@ def test_figure1_names_the_replicate_of_a_failing_refit(monkeypatch):
     model = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=1.0)
     # a replicate makes 16 LO refits, then 3 fold refits: refit 37 is the
     # second fold of replicate 1
-    real_fit = solver.fit
+    real_engine = risk.fit_leave_groups_out
     calls = []
 
-    def fake_fit(data, model, opts=None, beta0=None):
-        res = real_fit(data, model, opts, beta0)
-        calls.append(res)
-        return replace(res, converged=False) if len(calls) == 37 else res
+    def fake_engine(data, model, groups, warm, opts=None):
+        for rows, res in real_engine(data, model, groups, warm, opts):
+            calls.append(res)
+            yield rows, replace(res, converged=False) if len(calls) == 37 else res
 
-    monkeypatch.setattr(solver, "fit", fake_fit)
+    monkeypatch.setattr(risk, "fit_leave_groups_out", fake_engine)
     with pytest.raises(SolverError, match=r"did not converge \(n=16, rep=1\)$"):
         run_figure1(config, model)
     assert len(calls) == 37

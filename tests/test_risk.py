@@ -445,6 +445,7 @@ GLM_LOSSES = {
         "negative_binomial",
     ),
 }
+PROX_REGS = {"l1": RegSpec("l1"), "elastic_net": RegSpec("elastic_net", mix=0.5)}
 SMOOTH_REGS = {
     "ridge": RegSpec("ridge"),
     "smoothed_elastic_net": RegSpec(
@@ -508,19 +509,24 @@ def test_batched_refits_equal_sequential_refits(monkeypatch, family, reg):
 
 def test_max_iter_caps_every_batched_refit():
     # a refit's batched steps and the steps of its hand-over share one
-    # budget; a refit still open when the budget runs out is unconverged
+    # budget; a refit still open when the budget runs out is unconverged,
+    # and in the FISTA block it leaves while the others go on
     data, loss = glm_instance("squared")
-    model = ModelSpec(loss, SMOOTH_REGS["smoothed_elastic_net"], lam=1.0)
-    full = fit(data, model)
-    opts = SolverOpts(max_iter=5)
-    groups = fit_leave_groups_out(data, model, range(data.n), full.beta_hat, opts)
-    results = [res for _, res in groups]
-    assert all(res.iterations <= opts.max_iter for res in results)
-    assert any(res.converged for res in results)
-    open_refits = [res for res in results if not res.converged]
-    assert open_refits
-    assert all(res.iterations == opts.max_iter for res in open_refits)
-    assert all(res.grad_inf_norm > opts.tol for res in open_refits)
+    for reg, max_iter in [
+        (SMOOTH_REGS["smoothed_elastic_net"], 5),
+        (RegSpec("elastic_net", mix=0.5), 40),
+    ]:
+        model = ModelSpec(loss, reg, lam=1.0)
+        full = fit(data, model)
+        opts = SolverOpts(max_iter=max_iter)
+        groups = fit_leave_groups_out(data, model, range(data.n), full.beta_hat, opts)
+        results = [res for _, res in groups]
+        assert all(res.iterations <= opts.max_iter for res in results)
+        assert any(res.converged for res in results)
+        open_refits = [res for res in results if not res.converged]
+        assert open_refits
+        assert all(res.iterations == opts.max_iter for res in open_refits)
+        assert all(res.grad_inf_norm > opts.tol for res in open_refits)
 
 
 def test_few_large_folds_refit_one_group_at_a_time(monkeypatch):
@@ -553,18 +559,45 @@ def test_few_large_folds_refit_one_group_at_a_time(monkeypatch):
     "reg", [RegSpec("l1"), RegSpec("elastic_net", mix=0.5)], ids=["l1", "elastic_net"]
 )
 def test_leave_groups_out_refits_l1_and_elastic_net(reg):
-    # the one refit route: groups come back in order of their smallest row,
-    # each bit for bit the refit of fit_leave_one_out from the same start
+    # the one refit route: groups come back in order of their smallest row;
+    # the lockstep FISTA block takes the iterations of fit_leave_one_out from
+    # the same start and agrees with it to rounding, and with a tight refit
+    # to solver tolerance
     data = enet_instance(7)
     model = ModelSpec(LossSpec("squared"), reg, lam=1.0)
     full = fit(data, model, PROX_OPTS)
     groups = [np.array([9, 3]), 12, np.array([30, 0, 17]), 5]
     out = list(fit_leave_groups_out(data, model, groups, full.beta_hat, PROX_OPTS))
     assert [int(np.min(rows)) for rows, _ in out] == [0, 3, 5, 12]
+    tight = replace(PROX_OPTS, tol=1e-13)
     for rows, res in out:
         alone = fit_leave_one_out(data, model, rows, warm=full.beta_hat, opts=PROX_OPTS)
+        exact = fit_leave_one_out(data, model, rows, warm=full.beta_hat, opts=tight)
         assert res.converged
-        assert np.array_equal(res.beta_hat, alone.beta_hat)
+        assert res.iterations == alone.iterations
+        assert np.max(np.abs(res.beta_hat - alone.beta_hat)) <= 1e-12
+        assert np.max(np.abs(res.beta_hat - exact.beta_hat)) <= 1e-8
+
+
+@pytest.mark.parametrize("reg", list(PROX_REGS))
+@pytest.mark.parametrize("family", ["squared", "logistic"])
+def test_block_refits_equal_sequential_refits_at_tight_tolerance(family, reg):
+    # LO and 5-fold refits of the lockstep FISTA block against one
+    # fit_leave_one_out per group, both run to tol = 1e-13, with p > n
+    data, loss = glm_instance(family, n=30, p=40)
+    model = ModelSpec(loss, PROX_REGS[reg], lam=0.1)
+    tight = SolverOpts(tol=1e-13)
+    full = fit(data, model, tight)
+    assert 0 < np.count_nonzero(full.beta_hat) < data.p
+    labels = fold_assignments(data.n, 5, seed=8)
+    folds = [np.flatnonzero(labels == fold) for fold in range(5)]
+    for groups in (range(data.n), folds):
+        block = fit_leave_groups_out(data, model, groups, full.beta_hat, tight)
+        for rows, res in block:
+            alone = fit_leave_one_out(data, model, rows, warm=full.beta_hat, opts=tight)
+            assert res.converged and alone.converged
+            held = data.X[np.atleast_1d(rows)]
+            assert np.max(np.abs(held @ res.beta_hat - held @ alone.beta_hat)) <= 1e-8
 
 
 def figure1_desk_replicate(rep):

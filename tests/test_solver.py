@@ -9,6 +9,7 @@ from loorisk.solver import (
     ModelSpec,
     SolverOpts,
     fit,
+    fit_leave_groups_out,
     fit_leave_one_out,
     objective,
 )
@@ -201,6 +202,92 @@ def test_fista_matches_slow_ista():
     assert res.converged
     assert res.objective == pytest.approx(oracle_obj, rel=1e-8)
     assert np.max(np.abs(res.beta_hat - beta)) <= 1e-6
+
+
+def sequential_fista(data, model, opts, beta0):
+    """Reference: the solver's monotone FISTA for one fit, written as a
+    plain loop.  Returns the solution and the iterations it took."""
+    X, y, lam, reg = data.X, data.y, model.lam, model.reg
+
+    def smooth(b):
+        values, d1, _ = loss_eval(model.loss, y, X @ b)
+        return float(np.sum(values)), X.T @ d1
+
+    def residual(b, g, L):
+        step = 1.0 / L
+        return float(np.max(np.abs(b - prox_step(reg, b - step * g, step, lam))))
+
+    # step size from the power iteration of the solver, deterministic start
+    v = np.random.default_rng(0).standard_normal(data.p)
+    v /= np.linalg.norm(v)
+    for _ in range(60):
+        w = X.T @ (X @ v)
+        sigma = np.linalg.norm(w)
+        v = w / sigma
+    d2 = loss_eval(model.loss, y, X @ beta0)[2]
+    L = max(sigma * max(float(np.max(d2)), 1e-12), 1e-12)
+
+    x = beta0
+    fx, gx = smooth(x)
+    Fx = fx + lam * reg_value(reg, x)
+    if residual(x, gx, L) <= opts.tol:
+        return x, 0
+    yk, fy, gy, t, from_x = x, fx, gx, 1.0, True
+    for it in range(1, opts.max_iter + 1):
+        while True:
+            step = 1.0 / L
+            cand = prox_step(reg, yk - step * gy, step, lam)
+            diff = cand - yk
+            f_cand, g_cand = smooth(cand)
+            quad = fy + float(gy @ diff) + 0.5 * L * float(diff @ diff)
+            if f_cand <= quad + 1e-12 * (1.0 + abs(fy)):
+                break
+            L *= 2.0
+        F_cand = f_cand + lam * reg_value(reg, cand)
+        if from_x or F_cand <= Fx + 1e-14 * (1.0 + abs(Fx)):
+            if residual(cand, g_cand, L) <= opts.tol:
+                return cand, it
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            yk = cand + ((t - 1.0) / t_next) * (cand - x)
+            fy, gy = smooth(yk)
+            from_x, t = False, t_next
+            x, fx, Fx, gx = cand, f_cand, F_cand, g_cand
+        else:
+            yk, fy, gy, t, from_x = x, fx, gx, 1.0, True
+    raise AssertionError("reference FISTA did not converge")
+
+
+@pytest.mark.parametrize(
+    "reg", [RegSpec("l1"), RegSpec("elastic_net", mix=0.5)], ids=["l1", "elastic_net"]
+)
+@pytest.mark.parametrize(
+    "loss, start",
+    [("squared", "zero"), ("logistic", "zero"), ("logistic", "saturated")],
+)
+def test_fista_block_runs_the_sequential_method(loss, start, reg):
+    # the lockstep block, as a full fit and as a block of LO refits, takes
+    # the iterations of the plain loop and agrees with it to rounding.  The
+    # block sums in another order, and where the residual ends a hair from
+    # tol that moves the stop, so a few fits may differ in their count
+    data = seeded_logistic_data(30, 40, seed=14)
+    model = ModelSpec(LossSpec(loss), reg, lam=0.05)
+    opts = SolverOpts()
+    beta0 = np.zeros(data.p)
+    if start == "saturated":
+        # every |x_i^T beta0| is 40, where ell'' is about 4e-18: the first
+        # step size is far too long, and every fit backtracks
+        z0 = np.where(np.arange(data.n) % 2, 40.0, -40.0)
+        beta0 = np.linalg.lstsq(data.X, z0, rcond=None)[0]
+    full = fit(data, model, opts, beta0)
+    warm = full.beta_hat if start == "zero" else beta0
+    pairs = [(full, sequential_fista(data, model, opts, beta0))]
+    for i, res in fit_leave_groups_out(data, model, range(data.n), warm):
+        pairs.append((res, sequential_fista(data.drop_rows(i), model, opts, warm)))
+    assert all(res.converged for res, _ in pairs)
+    same = [(res, beta) for res, (beta, its) in pairs if res.iterations == its]
+    assert len(same) >= 0.75 * len(pairs)
+    for res, beta in same:
+        assert np.max(np.abs(res.beta_hat - beta)) <= 1e-12
 
 
 def test_fista_l1_kkt_conditions():
