@@ -16,7 +16,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import eigvalsh
 
-from .losses import _loss_terms, loss_eval
+from .losses import LossSpec, _loss_terms, loss_derivative_bound, loss_eval
 from .regularizers import reg_curvature_diag
 from .solver import _weighted_gram
 
@@ -94,17 +94,21 @@ def compute_Cv_logistic(rho, delta, lam):
     """Ridge-logistic variance constant, printed formula.
 
     compute_Cv_from_parts with E_var = 6 + 5 rho delta / lam and the bias
-    constant at c0 = c1 = 2, nu = lam: C_b = (4 rho sqrt(delta) / lam)^2.
+    constant at c0 = c1 = 2 (the logistic loss_derivative_bound), nu = lam:
+    C_b = (4 rho sqrt(delta) / lam)^2.
     """
     for name, value in (("rho", rho), ("delta", delta), ("lam", lam)):
         if not value > 0:
             raise ValueError(f"{name} must be positive")
+    c = loss_derivative_bound(LossSpec("logistic"))
     e_var = 6.0 + 5.0 * rho * delta / lam
-    return compute_Cv_from_parts(e_var, compute_Cb(2.0, 2.0, rho, delta, lam))
+    return compute_Cv_from_parts(e_var, compute_Cb(c, c, rho, delta, lam))
 
 
 def pick_audit_indices(n, count=25):
-    """Deterministic, evenly spaced subset of row indices."""
+    """Deterministic, evenly spaced subset of row indices; count >= 1."""
+    if count < 1:
+        raise ValueError("count must be >= 1")
     count = min(n, count)
     return tuple(int(i) for i in np.unique(np.linspace(0, n - 1, count).round()))
 

@@ -15,6 +15,7 @@ import argparse
 import configparser
 import os
 import sys
+from contextlib import contextmanager
 from dataclasses import replace
 from importlib import resources
 
@@ -50,7 +51,20 @@ PRESETS = tuple(
 
 
 class ConfigError(Exception):
-    pass
+    kind = "config"
+
+
+class UsageError(ConfigError):
+    kind = "usage"  # a command-line flag whose value the library refuses
+
+
+@contextmanager
+def _refused(where, error=ConfigError):
+    """Raise a ValueError from the block as error, prefixed with where."""
+    try:
+        yield
+    except ValueError as exc:
+        raise error(f"{where}: {exc}") from exc
 
 
 def _list_of(cast):
@@ -118,34 +132,23 @@ def load_config_text(text, source="<config>"):
                 raise ConfigError(f"[{section}] unknown key {key!r}")
             target, name, cast = _KEYS[section, key]
             raw = parser.get(section, key)
-            try:
+            with _refused(f"[{section}] {key} = {raw!r}"):
                 fields[target][name] = cast(raw)
-            except ValueError as exc:
-                raise ConfigError(f"[{section}] {key} = {raw!r}: {exc}") from exc
         if section not in _SECTIONS:
             raise ConfigError(f"unknown section [{section}]")
 
-    try:
+    with _refused("[design]/[experiment]"):
         sim = SimConfig(**fields["sim"])
-    except ValueError as exc:
-        raise ConfigError(f"[design]/[experiment]: {exc}") from exc
-    try:
+    with _refused("[model]"):
         loss, reg = LossSpec(**fields["loss"]), RegSpec(**fields["reg"])
         model = ModelSpec(loss, reg, **fields["model"])
-    except ValueError as exc:
-        raise ConfigError(f"[model]: {exc}") from exc
     # loss domains nest ({0, 1} within the counts within the reals), so a
     # loss can score a design family when it accepts its least usual value
     response = {"linear": -0.5, "logistic": 1.0}.get(sim.family, 2.0)
-    try:
+    with _refused(f"[model] loss cannot score family = {sim.family}"):
         _check_response(loss, np.array([response]))
-    except ValueError as exc:
-        msg = f"[model] loss cannot score family = {sim.family}: {exc}"
-        raise ConfigError(msg) from exc
-    try:
+    with _refused("[solver]"):
         opts = SolverOpts(**fields["opts"])
-    except ValueError as exc:
-        raise ConfigError(f"[solver]: {exc}") from exc
     return sim, model, opts
 
 
@@ -169,9 +172,11 @@ def load_config(path=None, preset=None):
 
 def _apply_overrides(args, sim, opts):
     if args.seed is not None:
-        sim = replace(sim, seed=args.seed)
+        with _refused("--seed", UsageError):
+            sim = replace(sim, seed=args.seed)
     if args.tol is not None:
-        opts = replace(opts, tol=args.tol)
+        with _refused("--tol", UsageError):
+            opts = replace(opts, tol=args.tol)
     return sim, opts
 
 
@@ -235,16 +240,18 @@ def _cmd_risk(args):
     elif args.command == "alo":
         report = alo(data, model, full)
     else:
-        report = kfold_cv(data, model, args.k, sim.seed, opts, full_fit=full)
+        with _refused("--k", UsageError):
+            report = kfold_cv(data, model, args.k, sim.seed, opts, full_fit=full)
     _emit(report, args, [f"{report.method} estimate: {report.estimate:.10g}"])
     return 0
 
 
 def _cmd_bounds(args):
-    c0 = c1 = 2.0  # logistic derivative-bound constants
+    c0 = c1 = loss_derivative_bound(LossSpec("logistic"))
     nu = args.lam
+    with _refused("--rho, --delta or --lambda", UsageError):
+        C_v = compute_Cv_logistic(args.rho, args.delta, args.lam)
     C_b = compute_Cb(c0, c1, args.rho, args.delta, nu)
-    C_v = compute_Cv_logistic(args.rho, args.delta, args.lam)
     report = BoundReport(
         rho=args.rho,
         delta=args.delta,
@@ -264,9 +271,11 @@ def _cmd_bounds(args):
 
 def _cmd_audit(args):
     _, model, opts, data, cov, full = _first_replicate(args)
-    indices = pick_audit_indices(data.n, args.sample_i)
+    with _refused("--sample-i", UsageError):
+        indices = pick_audit_indices(data.n, args.sample_i)
     loo = dict(refits(data, model, indices, full, opts))
-    audit = audit_assumptions(data, model, full, loo, t_grid_size=args.t_grid)
+    with _refused("--t-grid", UsageError):
+        audit = audit_assumptions(data, model, full, loo, t_grid_size=args.t_grid)
     perturb = check_perturb_lemma(data, model, full, loo, audit.nu_emp)
     n, p = data.n, data.p
     rho = cov.rho(p)
@@ -451,7 +460,7 @@ def main(argv=None):
     try:
         return _HANDLERS[args.command](args)
     except ConfigError as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+        print(f"{exc.kind} error: {exc}", file=sys.stderr)
         return 2
     except (SolverError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)

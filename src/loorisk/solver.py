@@ -6,7 +6,9 @@ Armijo backtracking; the factorized Hessian is reused across steps and
 refreshed only when progress degrades, which keeps warm-started refits at
 roughly one factorization each.  l1-composite objectives use a monotone
 FISTA with backtracking step size and adaptive restart, written once as a
-block of fits run in lockstep; fit is its one-row case.
+block of fits run in lockstep; fit is its one-row case.  A row leaves the
+block only at the top of an iteration (converged, backtracking failed, or
+out of budget), so the block's arrays shrink in one place.
 
 fit_leave_one_out refits without one row or a set of rows.
 fit_leave_groups_out, the one route for many refits, refits without each of
@@ -298,10 +300,11 @@ def _fista_block(X, y, model, B, keep, opts):
     is an m x n mask, or None to keep them all) plus lam * r, with its own
     step size 1/L, momentum and restarts; the rows run in lockstep, one
     iteration being a few products with X for the whole block.  A row
-    leaves the block when its prox-gradient residual |b - prox(b - g/L)| is
-    at most opts.tol, when backtracking pushes L past 1e25, or when
-    opts.max_iter iterations are used; its FitResult reports the iterations
-    it used.
+    leaves at the top of an iteration, the one place rows leave the arrays,
+    and reports the iterations it used: converged once its prox-gradient
+    residual |b - prox(b - g/L)| is at most opts.tol; unconverged when its
+    backtracking pushed L past 1e25 in the iteration before, which it ends
+    without an update, or when opts.max_iter iterations are used.
     """
     lam, reg = model.lam, model.reg
     results = [None] * B.shape[0]
@@ -324,9 +327,16 @@ def _fista_block(X, y, model, B, keep, opts):
         moved = b - _prox(b - step * g, thresh, shrink)
         return np.abs(moved).max(axis=1, initial=0.0)
 
-    def finish(sel, b, F, res, used, converged):
-        for j, bj, Fj, rj in zip(rows[sel], b[sel], F[sel], res[sel]):
-            results[j] = FitResult(bj.copy(), float(Fj), float(rj), used, converged)
+    def candidate(sel, step, thresh, shrink, half_L):
+        """Prox-gradient step from yk on rows sel (indices or a slice): the
+        step, its predictors, loss, gradient and quadratic-bound test."""
+        base, f_base, g_base = yk[sel], fy[sel], gy[sel]
+        cand = _prox(base - step * g_base, thresh, shrink)
+        zc = cand @ X.T
+        f_cand, g_cand = smooth(zc, None if keep is None else keep[sel])
+        diff = cand - base
+        quad = f_base + ((g_base + half_L * diff) * diff).sum(axis=1)
+        return cand, zc, f_cand, g_cand, f_cand <= quad + 1e-12 * (1.0 + np.abs(f_base))
 
     rows, x = np.arange(B.shape[0]), B
     zx = x @ X.T
@@ -347,58 +357,47 @@ def _fista_block(X, y, model, B, keep, opts):
     k = np.zeros(rows.size, dtype=int)
     cap = np.full(rows.size, np.inf)
     momentum = _momentum(256)
-    # the per-row state; a row that finishes leaves every array of it
-    state = [rows, keep, x, zx, fx, Fx, gx, yk, fy, gy, k, cap, L, res]
-
-    def drop(done):
-        left = ~done
-        return [a if a is None else a[left] for a in state]
-
-    done = res <= opts.tol
-    for it in range(1, opts.max_iter + 1):
-        if np.count_nonzero(done):
-            finish(done, x, Fx, res, it - 1, True)
-            state = drop(done)
-            rows, keep, x, zx, fx, Fx, gx, yk, fy, gy, k, cap, L, res = state
+    # failed marks the rows whose backtracking gave up, made on the first one
+    done, failed = res <= opts.tol, None
+    for used in range(opts.max_iter + 1):
+        leave = done if failed is None else done | failed
+        if used == opts.max_iter:
+            leave = np.ones(rows.size, dtype=bool)
+        if np.count_nonzero(leave):
+            out = zip(rows[leave], x[leave], Fx[leave], res[leave], done[leave])
+            for j, bj, Fj, rj, cj in out:
+                results[j] = FitResult(bj.copy(), float(Fj), float(rj), used, bool(cj))
+            left, failed = ~leave, None
+            rows, x, zx, fx, Fx, gx, yk, fy, gy, k, cap, L, res = (
+                a[left] for a in (rows, x, zx, fx, Fx, gx, yk, fy, gy, k, cap, L, res)
+            )
+            keep = None if keep is None else keep[left]
+            if not rows.size:
+                break
             step, thresh, shrink, half_L = steps(L)
-        if not rows.size:
-            break
-        if it > len(momentum):
+        if used >= len(momentum):
             momentum = _momentum(2 * len(momentum))
-        cand = _prox(yk - step * gy, thresh, shrink)
-        zc = cand @ X.T
-        f_cand, g_cand = smooth(zc, keep)
-        diff = cand - yk
-        quad = fy + ((gy + half_L * diff) * diff).sum(axis=1)
-        fits = f_cand <= quad + 1e-12 * (1.0 + np.abs(fy))
-        if np.count_nonzero(fits) < rows.size:
+        cand, zc, f_cand, g_cand, ok = candidate(np.s_[:], step, thresh, shrink, half_L)
+        if np.count_nonzero(ok) < rows.size:
             # backtracking, on the rows whose step is too long
-            failed = np.zeros(rows.size, dtype=bool)
-            back = np.flatnonzero(~fits)
+            back = np.flatnonzero(~ok)
             while back.size:
                 L[back] *= 2.0
                 over = L[back] > 1e25
                 if over.any():
                     log.warning("FISTA backtracking failed to find a valid step size")
+                    if failed is None:
+                        failed = np.zeros(rows.size, dtype=bool)
                     failed[back[over]] = True
                     back = back[~over]
-                sb, tb, kb, hb = steps(L[back])
-                cb = _prox(yk[back] - sb * gy[back], tb, kb)
-                zb = cb @ X.T
-                fb, gb = smooth(zb, None if keep is None else keep[back])
-                db = cb - yk[back]
-                quad = fy[back] + ((gy[back] + hb * db) * db).sum(axis=1)
+                cb, zb, fb, gb, ok = candidate(back, *steps(L[back]))
                 cand[back], zc[back], f_cand[back], g_cand[back] = cb, zb, fb, gb
-                back = back[~(fb <= quad + 1e-12 * (1.0 + np.abs(fy[back])))]
-            if failed.any():
-                finish(failed, x, Fx, res, it, False)
-                state = drop(failed)
-                rows, keep, x, zx, fx, Fx, gx, yk, fy, gy, k, cap, L, res = state
-                cand, zc = cand[~failed], zc[~failed]
-                f_cand, g_cand = f_cand[~failed], g_cand[~failed]
+                back = back[~ok]
             step, thresh, shrink, half_L = steps(L)
         F_cand = f_cand + lam * reg_value(reg, cand)
         accept = F_cand <= cap
+        if failed is not None:
+            accept &= ~failed
         if np.count_nonzero(accept) == rows.size:
             res = residual(cand, g_cand, step, thresh, shrink)
             w = momentum[k]
@@ -422,12 +421,6 @@ def _fista_block(X, y, model, B, keep, opts):
             yk[r], fy[r], gy[r], k[r], cap[r] = x[r], fx[r], gx[r], 0, np.inf
             done = np.zeros(rows.size, dtype=bool)
             done[a] = res[a] <= opts.tol
-        state = [rows, keep, x, zx, fx, Fx, gx, yk, fy, gy, k, cap, L, res]
-    else:
-        # the budget is used up: finish the rows that converged in the last
-        # iteration, and report the rest unconverged
-        finish(done, x, Fx, res, opts.max_iter, True)
-        finish(~done, x, Fx, res, opts.max_iter, False)
     return results
 
 
@@ -472,13 +465,13 @@ def fit_leave_one_out(data, model, rows, warm=None, opts=None):
     return fit(data.drop_rows(idx), model, opts, beta0=warm)
 
 
-def _refit_block(data, model, held, warm, d2, H_inv, opts):
+def _refit_block(data, model, held, keep, B, d2, H_inv, opts):
     """FitResults of the refits without each index array in held.
 
-    Refit j is row j of an m x p block B, started at warm.  Its Newton
-    matrix is H_j = H - X_j^T D_j X_j, where H (inverse H_inv) and
-    D_j = diag(d2) are taken at warm and X_j holds the rows of held[j]; by
-    Woodbury
+    Refit j is row j of B (m x p, each row the warm start), fit to the data
+    rows that keep[j] keeps.  Its Newton matrix is H_j = H - X_j^T D_j X_j,
+    where H (inverse H_inv) and D_j = diag(d2) are taken at the warm start
+    and X_j holds the rows of held[j]; by Woodbury
         H_j^{-1} g = H^{-1} g + W_j (I - D_j Q_j)^{-1} D_j X_j H^{-1} g
     with W_j = H^{-1} X_j^T and Q_j = X_j W_j, which never divides by ell''.
     """
@@ -488,11 +481,9 @@ def _refit_block(data, model, held, warm, d2, H_inv, opts):
     # so its row of I - D_j Q_j is the identity and its coefficient stays 0
     pad = np.zeros((m, k), dtype=int)
     live = np.zeros((m, k), dtype=bool)
-    keep = np.ones((m, data.n), dtype=bool)
     for j, idx in enumerate(held):
         pad[j, : idx.size] = idx
         live[j, : idx.size] = True
-        keep[j, idx] = False
     Xg = X[pad]
     curv = np.where(live, d2[pad], 0.0)
 
@@ -521,7 +512,6 @@ def _refit_block(data, model, held, warm, d2, H_inv, opts):
         res = fit_leave_one_out(data, model, held[j], warm=B[j], opts=left)
         results[j] = replace(res, iterations=used + res.iterations)
 
-    B = np.tile(warm, (m, 1))
     active = np.arange(m)
     obj, grad, gnorm = evaluate(B, active)
     for steps in range(opts.max_iter + 1):
@@ -623,20 +613,15 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
         # scipy may each bring their own multi-threaded BLAS, and alternating
         # between the two costs more than these small products
         H_inv = cho_solve(factor, np.eye(data.p), check_finite=False)
-
-        def refit(held):
-            return _refit_block(data, model, held, warm, d2, H_inv, opts)
-
-    else:
-
-        def refit(held):
-            keep = np.ones((len(held), data.n), dtype=bool)
-            for j, idx in enumerate(held):
-                keep[j, idx] = False
-            B = np.tile(warm, (len(held), 1))
-            return _fista_block(data.X, data.y, model, B, keep, opts)
-
     for start in range(0, len(order), _REFIT_CHUNK):
         chunk = order[start : start + _REFIT_CHUNK]
-        results = refit([idx for _, idx in chunk])
+        held = [idx for _, idx in chunk]
+        keep = np.ones((len(held), data.n), dtype=bool)
+        for j, idx in enumerate(held):
+            keep[j, idx] = False
+        B = np.tile(warm, (len(held), 1))
+        if model.reg.is_smooth:
+            results = _refit_block(data, model, held, keep, B, d2, H_inv, opts)
+        else:
+            results = _fista_block(data.X, data.y, model, B, keep, opts)
         yield from zip((rows for rows, _ in chunk), results)

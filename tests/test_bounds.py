@@ -188,6 +188,8 @@ def test_pick_audit_indices():
     idx = pick_audit_indices(1000, 25)
     assert len(idx) == 25
     assert idx[0] == 0 and idx[-1] == 999
+    with pytest.raises(ValueError, match="count must be >= 1"):
+        pick_audit_indices(5, 0)
 
 
 def test_argument_validation():

@@ -302,3 +302,39 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, extra, message):
     assert err.startswith("config error:")
     assert message in err
 
+
+
+@pytest.mark.parametrize(
+    "argv, flag",
+    [
+        (["cv", "--k", "1"], "--k"),
+        (["cv", "--k", "13"], "--k"),
+        (["audit", "--t-grid", "1"], "--t-grid"),
+        (["audit", "--sample-i", "-2"], "--sample-i"),
+        (["audit", "--sample-i", "0"], "--sample-i"),
+        (["lo", "--tol", "-1"], "--tol"),
+        (["lo", "--tol", "0"], "--tol"),
+        (["fit", "--seed", "-3"], "--seed"),
+        (["bounds", "--rho", "1", "--delta", "1", "--lambda", "-1"], "--lambda"),
+    ],
+    ids=[
+        "k_1",
+        "k_above_n",
+        "t_grid_1",
+        "sample_i_negative",
+        "sample_i_0",
+        "tol_negative",
+        "tol_0",
+        "seed_negative",
+        "lambda_negative",
+    ],
+)
+def test_flag_value_the_library_refuses_exits_2(lo_cfg, capsys, argv, flag):
+    # each of these used to end in a traceback and exit 1, or (--sample-i 0)
+    # to audit no row and exit 0
+    if argv[0] != "bounds":
+        argv = argv + ["--config", str(lo_cfg)]
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: ") and err.count("\n") == 1
+    assert flag in err

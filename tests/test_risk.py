@@ -434,6 +434,53 @@ def test_nan_newton_candidate_is_never_accepted(monkeypatch):
     assert np.isfinite(failed.objective)
 
 
+@pytest.mark.parametrize("poison", [np.nan, np.inf], ids=["nan", "inf"])
+def test_fista_refit_whose_backtracking_fails_leaves_the_block(
+    monkeypatch, caplog, poison
+):
+    # the loss of the refit without row 7 is poisoned (NaN everywhere, or
+    # +inf after the block's first call, which scores the warm starts), so
+    # no step passes the quadratic bound and its backtracking pushes L past
+    # 1e25 in the first iteration.  That refit leaves the block unconverged
+    # at its warm start, although a +inf candidate passes the objective
+    # test of a row without momentum; the other refits run on as without it
+    rng = np.random.default_rng(29)
+    data = Dataset(rng.standard_normal((20, 30)), rng.standard_normal(20))
+    full = fit(data, ENET_SQ)
+    assert full.converged
+    clean = list(fit_leave_groups_out(data, ENET_SQ, range(20), full.beta_hat))
+    real_block_loss = solver._block_loss
+
+    def poison_row_7():
+        calls = []
+
+        def poisoned_block_loss(loss, X, y, Z, keep):
+            f, g, d2 = real_block_loss(loss, X, y, Z, keep)
+            calls.append(1)
+            if keep is not None and (np.isnan(poison) or len(calls) > 1):
+                f = np.where(keep[:, 7], f, poison)
+            return f, g, d2
+
+        monkeypatch.setattr(solver, "_block_loss", poisoned_block_loss)
+
+    poison_row_7()
+    out = list(fit_leave_groups_out(data, ENET_SQ, range(20), full.beta_hat))
+    assert "FISTA backtracking failed" in caplog.text
+    assert [rows for rows, _ in out] == list(range(20))
+    for (rows, res), (_, ref) in zip(out, clean):
+        if rows == 7:
+            assert not res.converged
+            assert res.iterations == 1
+            assert np.array_equal(res.beta_hat, full.beta_hat)
+        else:
+            assert res.converged
+            assert res.iterations == ref.iterations
+            assert np.max(np.abs(res.beta_hat - ref.beta_hat)) <= 1e-12
+    poison_row_7()
+    with pytest.raises(SolverError, match=r"rows \[7\] did not converge"):
+        list(refits(data, ENET_SQ, range(20), full))
+
+
 GLM_LOSSES = {
     "squared": (LossSpec("squared"), "linear"),
     "logistic": (LossSpec("logistic"), "logistic"),
