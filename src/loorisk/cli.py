@@ -38,7 +38,7 @@ from .experiments import (
     run_table1,
     run_table2,
 )
-from .losses import LossSpec, _check_response, loss_derivative_bound, loss_eval
+from .losses import LossSpec, _check_family, loss_derivative_bound, loss_eval
 from .regularizers import RegSpec
 from .reporting import write_results
 from .risk import alo, kfold_cv, lo_exact, refits
@@ -142,11 +142,8 @@ def load_config_text(text, source="<config>"):
     with _refused("[model]"):
         loss, reg = LossSpec(**fields["loss"]), RegSpec(**fields["reg"])
         model = ModelSpec(loss, reg, **fields["model"])
-    # loss domains nest ({0, 1} within the counts within the reals), so a
-    # loss can score a design family when it accepts its least usual value
-    response = {"linear": -0.5, "logistic": 1.0}.get(sim.family, 2.0)
     with _refused(f"[model] loss cannot score family = {sim.family}"):
-        _check_response(loss, np.array([response]))
+        _check_family(loss, sim.family)
     with _refused("[solver]"):
         opts = SolverOpts(**fields["opts"])
     return sim, model, opts
@@ -247,6 +244,8 @@ def _cmd_risk(args):
 
 
 def _cmd_bounds(args):
+    if args.n is not None and args.n < 1:
+        raise UsageError(f"--n: n = {args.n} must be >= 1")
     c0 = c1 = loss_derivative_bound(LossSpec("logistic"))
     nu = args.lam
     with _refused("--rho, --delta or --lambda", UsageError):
@@ -260,10 +259,10 @@ def _cmd_bounds(args):
         nu=nu,
         C_b=C_b,
         C_v=C_v,
-        bound_over_n=C_v / args.n if args.n else float("nan"),
+        bound_over_n=C_v / args.n if args.n is not None else float("nan"),
     )
     lines = [f"C_b = {C_b:.10g}", f"C_v = {C_v:.10g}"]
-    if args.n:
+    if args.n is not None:
         lines.append(f"C_v / n = {C_v / args.n:.10g} at n = {args.n}")
     _emit(report, args, lines)
     return 0

@@ -61,6 +61,12 @@ class CovSpec:
         if self.kind == "matrix" and self.matrix.shape[0] != p:
             raise ValueError("covariance dimension mismatch")
 
+    def check(self, p):
+        """Raise unless Sigma is p x p; an explicit matrix must also be SPD."""
+        self._require_dim(p)
+        if self.kind == "matrix":
+            np.linalg.cholesky(self.matrix)
+
     def cholesky(self, p):
         """Lower Cholesky factor of Sigma; raises if not SPD."""
         self._require_dim(p)

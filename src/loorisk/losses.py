@@ -77,6 +77,37 @@ def _check_response(spec, y):
             raise ValueError(f"{spec.family} requires nonnegative integer responses")
 
 
+def _check_family(spec, family):
+    """Raise ValueError unless spec can score every response of family."""
+    # domains nest ({0, 1} within the counts within the reals): probe the
+    # least usual response of the family
+    response = {"linear": -0.5, "logistic": 1.0}.get(family, 2.0)
+    _check_response(spec, np.array([response]))
+
+
+def _loss_value(spec, y, z):
+    """Loss value alone, as plain array maths; unchecked, as _loss_terms."""
+    f = spec.family
+    if f == "squared":
+        r = z - y
+        return 0.5 * r * r
+    if f == "logistic":
+        return _softplus(z) - y * z
+    if f == "pseudo_huber":
+        g = spec.huber_scale
+        return g * g * (np.sqrt(1.0 + ((y - z) / g) ** 2) - 1.0)
+    if f == "smoothed_abs":
+        g = spec.smooth_scale
+        u = y - z
+        return (_softplus(g * u) + _softplus(-g * u)) / g
+    if f == "poisson_softrect":
+        mean = np.maximum(_softplus(z), _MEAN_FLOOR)
+        return mean - y * np.log(mean)
+    # negative_binomial, exponential link, constant C(alpha, y) dropped
+    a = spec.shape
+    return (y + 1.0 / a) * _softplus(z + np.log(a)) - y * z
+
+
 def _loss_terms(spec, y, z):
     """Loss value and first two derivatives in z, as plain array maths.
 
@@ -84,22 +115,21 @@ def _loss_terms(spec, y, z):
     checks both; fit and the estimators check y once on entry.
     """
     f = spec.family
+    value = _loss_value(spec, y, z)
     if f == "squared":
         r = z - y
-        return 0.5 * r * r, r, np.ones(r.shape)
+        return value, r, np.ones(r.shape)
     if f == "logistic":
         s = expit(z)
-        return _softplus(z) - y * z, s - y, s * (1.0 - s)
+        return value, s - y, s * (1.0 - s)
     if f == "pseudo_huber":
         g = spec.huber_scale
         u = y - z
         w = np.sqrt(1.0 + (u / g) ** 2)
-        return g * g * (w - 1.0), -u / w, w**-3
+        return value, -u / w, w**-3
     if f == "smoothed_abs":
         g = spec.smooth_scale
-        u = y - z
-        t = np.tanh(0.5 * g * u)
-        value = (_softplus(g * u) + _softplus(-g * u)) / g
+        t = np.tanh(0.5 * g * (y - z))
         return value, -t, 0.5 * g * (1.0 - t * t)
     if f == "poisson_softrect":
         mean = np.maximum(_softplus(z), _MEAN_FLOOR)
@@ -107,12 +137,9 @@ def _loss_terms(spec, y, z):
         curv = slope * (1.0 - slope)
         ratio = y / mean
         d2 = curv * (1.0 - ratio) + y * (slope / mean) ** 2
-        return mean - y * np.log(mean), slope * (1.0 - ratio), d2
-    # negative_binomial, exponential link, constant C(alpha, y) dropped
+        return value, slope * (1.0 - ratio), d2
     a = spec.shape
-    zs = z + np.log(a)
-    s = expit(zs)
-    value = (y + 1.0 / a) * _softplus(zs) - y * z
+    s = expit(z + np.log(a))
     return value, (y + 1.0 / a) * s - y, (y + 1.0 / a) * s * (1.0 - s)
 
 

@@ -4,19 +4,30 @@ Closed forms exist for the linear-Gaussian and logistic designs; a seeded
 Monte-Carlo estimate covers every family and cross-checks the closed forms.
 It draws (x_o beta_star, x_o beta_hat), all that the response and the loss
 see of x_o, from its bivariate normal law: two normals a sample for any p.
+Input is checked once, on entry; then only arithmetic runs: the Gauss-Hermite
+rule is built once per order, and phi is scored by its value alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.special import expit
 
 from .datagen import CovSpec, _response, derive_seed, substream
-from .losses import _softplus, loss_eval
+from .losses import _check_family, _loss_value, _softplus
 
 _MC_CHUNK = 200_000
+
+
+def _finite(name, values):
+    """values as a float array; raises ValueError unless every entry is finite."""
+    values = np.asarray(values, dtype=float)
+    if not np.all(np.isfinite(values)):
+        raise ValueError(f"non-finite {name}")
+    return values
 
 
 @dataclass(frozen=True, eq=False)
@@ -30,11 +41,9 @@ class TrueModel:
     shape: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(
-            self, "beta_star", np.asarray(self.beta_star, dtype=float)
-        )
-        if self.noise_var < 0:
-            raise ValueError("noise_var must be nonnegative")
+        object.__setattr__(self, "beta_star", _finite("beta_star", self.beta_star))
+        if not 0 <= self.noise_var < np.inf:
+            raise ValueError("noise_var must be finite and nonnegative")
 
 
 def err_out_linear(beta_hat, truth):
@@ -46,10 +55,17 @@ def err_out_linear(beta_hat, truth):
     """
     if truth.family != "linear":
         raise ValueError("err_out_linear requires the linear family")
-    diff = np.asarray(beta_hat, dtype=float) - truth.beta_star
-    # raises if the explicit covariance is not SPD
-    truth.sigma_spec.cholesky(diff.shape[0])
+    diff = _finite("beta_hat", beta_hat) - truth.beta_star
+    truth.sigma_spec.check(diff.shape[0])
     return float(truth.noise_var + truth.sigma_spec.quad(diff))
+
+
+@lru_cache(maxsize=None)
+def _hermite_rule(order):
+    """Gauss-Hermite nodes and weights; read-only, since every caller shares them."""
+    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes.flags.writeable = weights.flags.writeable = False
+    return nodes, weights
 
 
 def gauss_hermite_expectation(func, var, order=64):
@@ -61,7 +77,7 @@ def gauss_hermite_expectation(func, var, order=64):
         raise ValueError("variance must be nonnegative")
     if var == 0.0:
         return float(func(np.zeros(1))[0])
-    nodes, weights = np.polynomial.hermite.hermgauss(order)
+    nodes, weights = _hermite_rule(order)
     z = np.sqrt(2.0 * var) * nodes
     return float(weights @ func(z) / np.sqrt(np.pi))
 
@@ -78,7 +94,7 @@ def err_out_logistic(beta_hat, truth, quad_order=64):
         raise ValueError("err_out_logistic requires the logistic family")
     if quad_order < 20:
         raise ValueError("quad_order must be >= 20")
-    beta_hat = np.asarray(beta_hat, dtype=float)
+    beta_hat = _finite("beta_hat", beta_hat)
     var_z = truth.sigma_spec.quad(truth.beta_star)
     if not var_z > 0:
         raise ValueError("degenerate beta_star")
@@ -103,14 +119,16 @@ def err_out_monte_carlo(beta_hat, truth, model, m, seed):
     """
     if m < 100:
         raise ValueError("m must be >= 100")
-    beta_hat = np.asarray(beta_hat, dtype=float)
+    beta_hat = _finite("beta_hat", beta_hat)
     sigma = truth.sigma_spec
-    # raises if the explicit covariance is not SPD
-    sigma.cholesky(beta_hat.shape[0])
+    sigma.check(beta_hat.shape[0])
+    _check_family(model.phi_spec, truth.family)
     # (z*, z) = (a g0, b g0 + d g1) has the covariance above
     a = np.sqrt(sigma.quad(truth.beta_star))
     b = sigma.cross(beta_hat, truth.beta_star) / a if a > 0 else 0.0
     d = np.sqrt(max(sigma.quad(beta_hat) - b * b, 0.0))
+    if not np.all(np.isfinite((a, b, d))):
+        raise ValueError("linear predictors overflow")
 
     shift = None
     count = 0
@@ -127,7 +145,7 @@ def err_out_monte_carlo(beta_hat, truth, model, m, seed):
             noise_var=truth.noise_var,
             shape=truth.shape,
         )
-        values, _, _ = loss_eval(model.phi_spec, y, b * g[:, 0] + d * g[:, 1])
+        values = _loss_value(model.phi_spec, y, b * g[:, 0] + d * g[:, 1])
         shift = float(values[0]) if shift is None else shift
         values -= shift
         # Chan's pairwise merge of (count, mean, M2) summaries

@@ -19,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import LinAlgError, cho_solve
 
-from .losses import _check_response, _loss_terms
+from .losses import _check_response, _loss_terms, _loss_value
 from .regularizers import reg_curvature_diag, strong_convexity_lower
 from .solver import SolverError, _hessian_factor, fit, fit_leave_groups_out
 
@@ -79,7 +79,7 @@ def _refit_report(data, model, groups, full_fit, opts, method):
     for rows, res in refits(data, model, groups, full, opts):
         for i in np.atleast_1d(rows):
             z[i] = data.X[i] @ res.beta_hat
-    per_sample, _, _ = _loss_terms(model.phi_spec, data.y, z)
+    per_sample = _loss_value(model.phi_spec, data.y, z)
     estimate, n_flagged = _aggregate(per_sample)
     return RiskReport(per_sample, estimate, method, n_flagged=n_flagged)
 
@@ -147,7 +147,7 @@ def alo(data, model, full_fit):
     ok = h < 1.0 - _POLE_TOL
     per_sample = np.full(data.n, np.inf)
     z_loo = z[ok] + q[ok] * d1[ok] / (1.0 - h[ok])
-    per_sample[ok] = _loss_terms(model.phi_spec, data.y[ok], z_loo)[0]
+    per_sample[ok] = _loss_value(model.phi_spec, data.y[ok], z_loo)
     estimate, n_flagged = _aggregate(per_sample)
     if n_flagged:
         log.warning("%d ALO entries at the leverage pole were flagged", n_flagged)

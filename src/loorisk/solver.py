@@ -34,7 +34,7 @@ import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.blas import dsyrk
 
-from .losses import LossSpec, _check_response, _loss_terms
+from .losses import LossSpec, _check_response, _loss_terms, _loss_value
 from .regularizers import RegSpec, _prox, _prox_params, reg_eval, reg_value
 
 log = logging.getLogger(__name__)
@@ -146,7 +146,7 @@ def objective(data, model, beta):
     Unchecked: data.y must lie in the loss domain (fit checks it).
     """
     beta = np.asarray(beta, dtype=float)
-    values, _, _ = _loss_terms(model.loss, data.y, data.X @ beta)
+    values = _loss_value(model.loss, data.y, data.X @ beta)
     return float(np.sum(values) + model.lam * reg_value(model.reg, beta))
 
 

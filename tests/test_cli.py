@@ -316,6 +316,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, extra, message):
         (["lo", "--tol", "0"], "--tol"),
         (["fit", "--seed", "-3"], "--seed"),
         (["bounds", "--rho", "1", "--delta", "1", "--lambda", "-1"], "--lambda"),
+        (["bounds", "--rho", "1", "--delta", "1", "--lambda", "1", "--n", "0"], "--n"),
+        (["bounds", "--rho", "1", "--delta", "1", "--lambda", "1", "--n", "-5"], "--n"),
     ],
     ids=[
         "k_1",
@@ -327,6 +329,8 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, extra, message):
         "tol_0",
         "seed_negative",
         "lambda_negative",
+        "n_0",
+        "n_negative",
     ],
 )
 def test_flag_value_the_library_refuses_exits_2(lo_cfg, capsys, argv, flag):

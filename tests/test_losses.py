@@ -1,7 +1,14 @@
 import numpy as np
 import pytest
 
-from loorisk.losses import FAMILIES, LossSpec, loss_derivative_bound, loss_eval
+from loorisk.losses import (
+    FAMILIES,
+    LossSpec,
+    _loss_terms,
+    _loss_value,
+    loss_derivative_bound,
+    loss_eval,
+)
 
 LOG2 = np.log(2.0)
 
@@ -157,3 +164,16 @@ def test_spec_parameter_validation():
         LossSpec("negative_binomial")
     with pytest.raises(ValueError):
         LossSpec("no_such_family")
+
+
+@pytest.mark.parametrize("family", FAMILIES)
+def test_loss_value_is_bit_for_bit_the_value_of_loss_terms(family):
+    # the oracles, the objective and the risk scores call the value kernel
+    # alone; it must give the very bytes the full kernel gives
+    spec = spec_for(family)
+    edges = [-700.0, -30.0, -1e-3, 0.0, 1e-3, 30.0, 700.0]
+    z = np.concatenate([edges, np.linspace(-700.0, 700.0, 41)])
+    y_sample, _ = sample_points(family, z.size, seed=12)
+    for y in (y_sample, np.zeros(z.size), np.ones(z.size)):
+        value = _loss_value(spec, y, z)
+        assert value.tobytes() == _loss_terms(spec, y, z)[0].tobytes()

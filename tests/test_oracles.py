@@ -8,6 +8,7 @@ from loorisk.datagen import CovSpec, gen_response, substream
 from loorisk.losses import LossSpec, loss_eval
 from loorisk.oracles import (
     TrueModel,
+    _hermite_rule,
     err_out_linear,
     err_out_logistic,
     err_out_monte_carlo,
@@ -27,8 +28,17 @@ def random_spd(p, seed):
 
 
 def test_hermite_weights_sum_to_sqrt_pi():
-    _, weights = np.polynomial.hermite.hermgauss(64)
-    assert np.sum(weights) == pytest.approx(np.sqrt(np.pi), abs=1e-12)
+    for order in (20, 64):
+        nodes, weights = _hermite_rule(order)
+        assert np.sum(weights) == pytest.approx(np.sqrt(np.pi), abs=1e-12)
+        # the rule is built once per order and shared: the cached arrays are
+        # hermgauss's to the bit and refuse writes
+        reference = np.polynomial.hermite.hermgauss(order)
+        assert nodes.tobytes() == reference[0].tobytes()
+        assert weights.tobytes() == reference[1].tobytes()
+        assert _hermite_rule(order)[0] is nodes
+        with pytest.raises(ValueError):
+            weights[0] = 0.0
 
 
 def test_hermite_second_moment():
@@ -259,6 +269,61 @@ def test_monte_carlo_rejects_length_mismatch(sigma):
     truth = TrueModel(np.ones(3), sigma, 1.0)
     with pytest.raises(ValueError):
         err_out_monte_carlo(np.ones(2), truth, LINEAR_MODEL, 1000, 0)
+
+
+def _mc_oracle(beta_hat, truth):
+    model = LINEAR_MODEL if truth.family == "linear" else LOGISTIC_MODEL
+    return err_out_monte_carlo(beta_hat, truth, model, 1000, 0)
+
+
+@pytest.mark.parametrize("where", ["beta_hat", "beta_star"])
+@pytest.mark.parametrize(
+    "oracle, family",
+    [
+        (err_out_linear, "linear"),
+        (err_out_logistic, "logistic"),
+        (_mc_oracle, "logistic"),
+    ],
+    ids=["linear", "logistic", "monte_carlo"],
+)
+def test_oracles_refuse_non_finite_coefficients(oracle, family, where):
+    # no oracle value means anything then, so each refuses rather than
+    # return nan or, for Monte Carlo with a NaN in beta_star, a number
+    good, bad = np.array([1.0, -0.5, 0.3]), np.array([1.0, np.nan, 0.3])
+    beta_hat, beta_star = (bad, good) if where == "beta_hat" else (good, bad)
+    with pytest.raises(ValueError, match=f"non-finite {where}"):
+        truth = TrueModel(
+            beta_star,
+            CovSpec("scaled_identity", 1.0),
+            noise_var=1.0 if family == "linear" else 0.0,
+            family=family,
+        )
+        oracle(beta_hat, truth)
+
+
+@pytest.mark.parametrize(
+    "oracle", [err_out_linear, _mc_oracle], ids=["linear", "monte_carlo"]
+)
+def test_oracles_check_the_covariance_on_entry(oracle):
+    non_spd = CovSpec("matrix", matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
+    with pytest.raises(np.linalg.LinAlgError):
+        oracle(np.ones(2), TrueModel(np.ones(2), non_spd, 1.0))
+    wrong_dimension = CovSpec("matrix", matrix=np.eye(3))
+    with pytest.raises(ValueError, match="dimension"):
+        oracle(np.ones(2), TrueModel(np.ones(2), wrong_dimension, 1.0))
+
+
+def test_monte_carlo_refuses_draws_phi_cannot_score():
+    # the draws are scored by the unchecked value kernel, so the oracle and
+    # TrueModel refuse on entry what that kernel cannot score
+    truth = TrueModel(np.ones(2), CovSpec("scaled_identity", 1.0), 1.0)
+    with pytest.raises(ValueError, match="responses in"):
+        # linear responses are real numbers; the logistic loss scores {0, 1}
+        err_out_monte_carlo(np.ones(2), truth, LOGISTIC_MODEL, 1000, 0)
+    with pytest.raises(ValueError, match="overflow"), np.errstate(all="ignore"):
+        err_out_monte_carlo(np.full(2, 1e200), truth, LINEAR_MODEL, 1000, 0)
+    with pytest.raises(ValueError, match="noise_var"):
+        TrueModel(np.ones(2), CovSpec("scaled_identity", 1.0), np.inf)
 
 
 def test_monte_carlo_rejects_non_spd_covariance():

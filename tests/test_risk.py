@@ -394,15 +394,23 @@ def test_kfold_reuses_a_given_full_fit(model, instance, opts):
 
 
 def test_nan_newton_candidate_is_never_accepted(monkeypatch):
-    # the loss kernel turns NaN at every point the refit without row 3
+    # the loss kernels turn NaN at every point the refit without row 3
     # tries after its warm start: the batched Armijo test rejects its first
     # step and hands it to fit, whose line search must reject each point,
     # so the refit stops unconverged at the warm start and LO names the row
     data = seeded_ridge_instance(8, 3, seed=14)
     full = fit(data, RIDGE_SQ)
     kept = np.delete(data.y, 3)
-    real_terms, real_fit = solver._loss_terms, solver.fit
+    real_terms, real_value = solver._loss_terms, solver._loss_value
+    real_fit = solver.fit
     batched_calls, poisoned_calls, refit_results = [], [], []
+
+    def poison_refit(y, z, value):
+        if np.shape(y) == kept.shape and np.array_equal(y, kept):
+            poisoned_calls.append(z)
+            if len(poisoned_calls) > 1:
+                value = np.full_like(value, np.nan)
+        return value
 
     def poisoned_terms(spec, y, z):
         value, d1, d2 = real_terms(spec, y, z)
@@ -412,17 +420,20 @@ def test_nan_newton_candidate_is_never_accepted(monkeypatch):
             batched_calls.append(z)
             if len(batched_calls) == 2:
                 value[3] = np.nan
-        elif np.shape(y) == kept.shape and np.array_equal(y, kept):
-            poisoned_calls.append(z)
-            if len(poisoned_calls) > 1:
-                value = np.full_like(value, np.nan)
+        else:
+            value = poison_refit(y, z, value)
         return value, d1, d2
+
+    def poisoned_value(spec, y, z):
+        # the line search scores its candidates by the loss value alone
+        return poison_refit(y, z, real_value(spec, y, z))
 
     def recording_fit(data, model, opts=None, beta0=None):
         refit_results.append(real_fit(data, model, opts, beta0))
         return refit_results[-1]
 
     monkeypatch.setattr(solver, "_loss_terms", poisoned_terms)
+    monkeypatch.setattr(solver, "_loss_value", poisoned_value)
     monkeypatch.setattr(solver, "fit", recording_fit)
     with pytest.raises(SolverError, match=r"rows \[3\] did not converge"):
         lo_exact(data, RIDGE_SQ, full_fit=full)

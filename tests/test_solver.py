@@ -339,6 +339,7 @@ def test_dataset_validation():
 def test_fit_checks_its_input_before_iterating(monkeypatch):
     calls = []
     monkeypatch.setattr(solver, "_loss_terms", lambda *args: calls.append(args))
+    monkeypatch.setattr(solver, "_loss_value", lambda *args: calls.append(args))
     off_domain = Dataset(np.eye(2), np.array([0.0, 2.0]))
     with pytest.raises(ValueError, match="responses in"):
         fit(off_domain, logistic_ridge_model(1.0))
