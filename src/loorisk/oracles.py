@@ -30,6 +30,12 @@ def _finite(name, values):
     return values
 
 
+def _check_overflow(*values):
+    """Raise ValueError unless the moments of the linear predictors are finite."""
+    if not np.all(np.isfinite(values)):
+        raise ValueError("linear predictors overflow")
+
+
 @dataclass(frozen=True, eq=False)
 class TrueModel:
     """The data-generating truth: coefficients, feature covariance, noise."""
@@ -57,7 +63,9 @@ def err_out_linear(beta_hat, truth):
         raise ValueError("err_out_linear requires the linear family")
     diff = _finite("beta_hat", beta_hat) - truth.beta_star
     truth.sigma_spec.check(diff.shape[0])
-    return float(truth.noise_var + truth.sigma_spec.quad(diff))
+    value = truth.noise_var + truth.sigma_spec.quad(diff)
+    _check_overflow(value)
+    return float(value)
 
 
 @lru_cache(maxsize=None)
@@ -95,14 +103,17 @@ def err_out_logistic(beta_hat, truth, quad_order=64):
     if quad_order < 20:
         raise ValueError("quad_order must be >= 20")
     beta_hat = _finite("beta_hat", beta_hat)
-    var_z = truth.sigma_spec.quad(truth.beta_star)
+    sigma = truth.sigma_spec
+    var_z, var_w = sigma.quad(truth.beta_star), sigma.quad(beta_hat)
+    cross = sigma.cross(beta_hat, truth.beta_star)
+    _check_overflow(var_z, var_w, cross)
     if not var_z > 0:
         raise ValueError("degenerate beta_star")
-    var_w = truth.sigma_spec.quad(beta_hat)
-    coef = truth.sigma_spec.cross(beta_hat, truth.beta_star) / var_z
     e_zsig = gauss_hermite_expectation(lambda z: z * expit(z), var_z, quad_order)
     e_softplus = gauss_hermite_expectation(_softplus, var_w, quad_order)
-    return float(-coef * e_zsig + e_softplus)
+    value = -cross / var_z * e_zsig + e_softplus
+    _check_overflow(value)
+    return float(value)
 
 
 def err_out_monte_carlo(beta_hat, truth, model, m, seed):
@@ -127,8 +138,7 @@ def err_out_monte_carlo(beta_hat, truth, model, m, seed):
     a = np.sqrt(sigma.quad(truth.beta_star))
     b = sigma.cross(beta_hat, truth.beta_star) / a if a > 0 else 0.0
     d = np.sqrt(max(sigma.quad(beta_hat) - b * b, 0.0))
-    if not np.all(np.isfinite((a, b, d))):
-        raise ValueError("linear predictors overflow")
+    _check_overflow(a, b, d)
 
     shift = None
     count = 0

@@ -17,7 +17,7 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, cho_solve
+from scipy.linalg import LinAlgError, solve_triangular
 
 from .losses import _check_response, _loss_terms, _loss_value
 from .regularizers import reg_curvature_diag, strong_convexity_lower
@@ -96,15 +96,19 @@ def lo_exact(data, model, opts=None, full_fit=None):
 
 
 def _leverage(Xs, d2, curvature):
-    """q_i = x_i^T A^{-1} x_i with A = Xs^T diag(d2) Xs + diag(curvature)."""
+    """q_i = x_i^T A^{-1} x_i with A = Xs^T diag(d2) Xs + diag(curvature).
+
+    With A = L L^T, q_i is the squared norm of column i of L^{-1} Xs^T: one
+    triangular solve, and q >= 0 by construction.
+    """
     if Xs.shape[1] == 0:
         return np.zeros(Xs.shape[0])
     try:
         factor = _hessian_factor(Xs, d2, curvature)
     except LinAlgError as exc:
         raise SolverError("singular curvature matrix in ALO") from exc
-    W = cho_solve(factor, Xs.T, check_finite=False)
-    return np.einsum("ij,ji->i", Xs, W)
+    V = solve_triangular(factor[0], Xs.T, lower=True, check_finite=False)
+    return np.einsum("ij,ij->j", V, V)
 
 
 def alo(data, model, full_fit):

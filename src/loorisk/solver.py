@@ -15,10 +15,12 @@ fit_leave_groups_out, the one route for many refits, refits without each of
 many groups of rows, a block of groups at a time.  For l1 and elastic net
 the block is the FISTA block: each refit is one row, masked to its kept
 data rows, with its own step size, momentum and restarts.  For smooth
-penalties (ridge, smoothed elastic net) the full-data Hessian, factored
-once and corrected for each group's rows by Woodbury, drives a
-fixed-Hessian Newton iteration on the block, and a refit that stalls is
-handed to fit_leave_one_out; smooth groups so few and large that this setup
+penalties (ridge, smoothed elastic net) the full-data Hessian (numpy's
+B^T B, as every penalized Hessian here), factored once, inverted from its
+factor by LAPACK's dpotri and corrected for each group's rows by Woodbury,
+drives a fixed-Hessian Newton iteration on the block that starts from the
+full fit's loss terms less the group's own; a refit that stalls is handed
+to fit_leave_one_out.  Smooth groups so few and large that this setup
 costs more flops than one factorization per group (K-fold with K <= 3 or
 so) are refit one at a time by fit_leave_one_out instead.
 """
@@ -32,7 +34,7 @@ from functools import lru_cache
 
 import numpy as np
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.blas import dsyrk
+from scipy.linalg.lapack import dpotri
 
 from .losses import LossSpec, _check_response, _loss_terms, _loss_value
 from .regularizers import RegSpec, _prox, _prox_params, reg_eval, reg_value
@@ -151,23 +153,35 @@ def objective(data, model, beta):
 
 
 def _weighted_gram(X, w, shift):
-    """X^T diag(w) X + diag(shift) as a full symmetric matrix (w >= 0).
+    """X^T diag(w) X + diag(shift) as an exactly symmetric matrix (w >= 0).
 
     The one builder of the penalized Hessian X^T diag(ell'') X + lam diag(r'')
-    for Newton steps, ALO leverages and the segment-Hessian audit.
+    for Newton steps, the refit engine, ALO leverages and the segment-Hessian
+    audit.  numpy forms B^T B, B = diag(sqrt(w)) X, by one syrk call and
+    copies its triangle into the other, so A equals A^T bit for bit.
     """
     B = X * np.sqrt(w)[:, None]
-    C = dsyrk(1.0, B, trans=1, lower=1)
-    A = C + C.T
-    idx = np.diag_indices_from(A)
-    A[idx] -= C[idx]
-    A[idx] += shift
+    A = B.T @ B
+    A[np.diag_indices_from(A)] += shift
     return A
 
 
 def _hessian_factor(X, w, shift):
     """Cholesky factor of _weighted_gram(X, w, shift); LinAlgError if singular."""
-    return cho_factor(_weighted_gram(X, w, shift), lower=True, check_finite=False)
+    # symmetric, so the transpose is the column-major array LAPACK factors in place
+    A = _weighted_gram(X, w, shift).T
+    return cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
+
+
+def _factor_inverse(factor):
+    """Inverse of the matrix of a cho_factor factor, formed in (and over) it.
+
+    LAPACK's dpotri fills the lower triangle, mirrored here into the upper.
+    """
+    H_inv = dpotri(factor[0], lower=1, overwrite_c=1)[0]
+    for j in range(1, H_inv.shape[0]):
+        H_inv[:j, j] = H_inv[j, :j]
+    return H_inv
 
 
 def _armijo_ok(cand_obj, obj, slope, t=1.0):
@@ -450,7 +464,7 @@ def _held_out(rows, n):
     out = idx[(idx < 0) | (idx >= n)]
     if out.size:
         raise IndexError(f"row indices {out.tolist()} out of range for n={n}")
-    if np.unique(idx).size == n:
+    if idx.size >= n and np.unique(idx).size == n:
         raise ValueError("a refit must keep at least one row")
     return idx
 
@@ -465,39 +479,36 @@ def fit_leave_one_out(data, model, rows, warm=None, opts=None):
     return fit(data.drop_rows(idx), model, opts, beta0=warm)
 
 
-def _refit_block(data, model, held, keep, B, d2, H_inv, opts):
+def _refit_block(data, model, held, keep, B, warm_terms, H_inv, opts):
     """FitResults of the refits without each index array in held.
 
     Refit j is row j of B (m x p, each row the warm start), fit to the data
-    rows that keep[j] keeps.  Its Newton matrix is H_j = H - X_j^T D_j X_j,
-    where H (inverse H_inv) and D_j = diag(d2) are taken at the warm start
-    and X_j holds the rows of held[j]; by Woodbury
+    rows that keep[j] keeps.  warm_terms are the full data's terms at the
+    warm start (ell, ell', ell'' per row, the objective, its gradient g and
+    H^{-1} g); refit j starts from them less those of its own rows, so the
+    block never evaluates its warm starts.  Its Newton matrix is
+    H_j = H - X_j^T D_j X_j, where H (inverse H_inv) and D_j = diag(ell'')
+    are taken at the warm start and X_j holds the rows of held[j]; by
+    Woodbury
         H_j^{-1} g = H^{-1} g + W_j (I - D_j Q_j)^{-1} D_j X_j H^{-1} g
     with W_j = H^{-1} X_j^T and Q_j = X_j W_j, which never divides by ell''.
     """
     X, y, lam = data.X, data.y, model.lam
+    values, d1, d2, obj_full, g_full, S_full = warm_terms
     m, k = len(held), max(idx.size for idx in held)
-    # held-out rows padded to k per refit; a padding row has no curvature,
-    # so its row of I - D_j Q_j is the identity and its coefficient stays 0
+    # held-out rows padded to k per refit; a padding row has no terms, so its
+    # row of I - D_j Q_j is the identity and its coefficient stays 0
     pad = np.zeros((m, k), dtype=int)
     live = np.zeros((m, k), dtype=bool)
     for j, idx in enumerate(held):
         pad[j, : idx.size] = idx
         live[j, : idx.size] = True
     Xg = X[pad]
-    curv = np.where(live, d2[pad], 0.0)
+    curv, d1g = np.where(live, d2[pad], 0.0), np.where(live, d1[pad], 0.0)
 
-    Wg = Xg @ H_inv
+    Wg = (Xg.reshape(m * k, -1) @ H_inv).reshape(m, k, -1)
     Q = Xg @ Wg.transpose(0, 2, 1)
     M_inv = np.linalg.inv(np.eye(k) - curv[:, :, None] * Q)
-
-    def evaluate(B, rows):
-        """Objective, gradient and its sup-norm of each row of B."""
-        loss_sum, loss_grad, _ = _block_loss(model.loss, X, y, B @ X.T, keep[rows])
-        rv, rg, _ = reg_eval(model.reg, B)
-        obj = loss_sum + lam * rv
-        grad = loss_grad + lam * rg
-        return obj, grad, np.max(np.abs(grad), axis=1, initial=0.0)
 
     results = [None] * m
 
@@ -512,8 +523,12 @@ def _refit_block(data, model, held, keep, B, d2, H_inv, opts):
         res = fit_leave_one_out(data, model, held[j], warm=B[j], opts=left)
         results[j] = replace(res, iterations=used + res.iterations)
 
+    obj = obj_full - np.where(live, values[pad], 0.0).sum(axis=1)
+    grad = g_full - np.einsum("akp,ak->ap", Xg, d1g)
+    gnorm = np.max(np.abs(grad), axis=1, initial=0.0)
+    # H^{-1} of each starting gradient: H^{-1} g less W_j ell'_j
+    S_start = S_full - np.einsum("akp,ak->ap", Wg, d1g)
     active = np.arange(m)
-    obj, grad, gnorm = evaluate(B, active)
     for steps in range(opts.max_iter + 1):
         done = gnorm[active] <= opts.tol
         for j in active[done]:
@@ -524,13 +539,16 @@ def _refit_block(data, model, held, keep, B, d2, H_inv, opts):
         if not active.size or steps == opts.max_iter:
             break
         a = active
-        S = grad[a] @ H_inv
+        S = S_start[a] if steps == 0 else grad[a] @ H_inv
         t = np.einsum("akp,ap->ak", Xg[a], S)
         u = np.einsum("akl,al->ak", M_inv[a], curv[a] * t)
         direction = -(S + np.einsum("akp,ak->ap", Wg[a], u))
         slope = np.einsum("ap,ap->a", grad[a], direction)
         cand = B[a] + direction
-        cand_obj, cand_grad, cand_gnorm = evaluate(cand, a)
+        loss_sum, loss_grad, _ = _block_loss(model.loss, X, y, cand @ X.T, keep[a])
+        rv, rg, _ = reg_eval(model.reg, cand)
+        cand_obj, cand_grad = loss_sum + lam * rv, loss_grad + lam * rg
+        cand_gnorm = np.max(np.abs(cand_grad), axis=1, initial=0.0)
         # as in _fit_newton, a full step that passes the Armijo test is
         # taken; a refit whose step fails it, or that ends the step short
         # of the cut a fresh factor would bring, goes on by damped Newton
@@ -599,8 +617,8 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
     if model.reg.is_smooth:
         factor = None
         if _batching_pays(data.n, data.p, [idx.size for _, idx in order]):
-            _, _, d2 = _loss_terms(model.loss, data.y, data.X @ warm)
-            _, _, rh = reg_eval(model.reg, warm)
+            values, d1, d2 = _loss_terms(model.loss, data.y, data.X @ warm)
+            rv, rg, rh = reg_eval(model.reg, warm)
             try:
                 factor = _hessian_factor(data.X, d2, model.lam * rh)
             except LinAlgError:
@@ -612,7 +630,10 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
         # one explicit inverse keeps the iterations on numpy's BLAS: numpy and
         # scipy may each bring their own multi-threaded BLAS, and alternating
         # between the two costs more than these small products
-        H_inv = cho_solve(factor, np.eye(data.p), check_finite=False)
+        H_inv = _factor_inverse(factor)
+        g_full = d1 @ data.X + model.lam * rg
+        obj_full = np.sum(values) + model.lam * rv
+        warm_terms = (values, d1, d2, obj_full, g_full, g_full @ H_inv)
     for start in range(0, len(order), _REFIT_CHUNK):
         chunk = order[start : start + _REFIT_CHUNK]
         held = [idx for _, idx in chunk]
@@ -621,7 +642,7 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
             keep[j, idx] = False
         B = np.tile(warm, (len(held), 1))
         if model.reg.is_smooth:
-            results = _refit_block(data, model, held, keep, B, d2, H_inv, opts)
+            results = _refit_block(data, model, held, keep, B, warm_terms, H_inv, opts)
         else:
             results = _fista_block(data.X, data.y, model, B, keep, opts)
         yield from zip((rows for rows, _ in chunk), results)

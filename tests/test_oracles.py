@@ -326,6 +326,26 @@ def test_monte_carlo_refuses_draws_phi_cannot_score():
         TrueModel(np.ones(2), CovSpec("scaled_identity", 1.0), np.inf)
 
 
+@pytest.mark.parametrize(
+    "family, beta_star, beta_hat",
+    [
+        ("logistic", 1e200, 1.0),
+        ("logistic", 1.0, 1e200),
+        ("logistic", 1.0, 1e155),
+        ("linear", 1.0, 1e200),
+    ],
+)
+def test_closed_form_oracles_refuse_overflowing_predictors(family, beta_star, beta_hat):
+    # finite coefficients whose quadratic forms overflow under Sigma = I used
+    # to come back as nan or inf
+    identity = CovSpec("scaled_identity", 1.0)
+    truth = TrueModel(np.full(2, beta_star), identity, 1.0, family)
+    oracle = err_out_logistic if family == "logistic" else err_out_linear
+    with pytest.raises(ValueError, match="linear predictors overflow"):
+        with np.errstate(all="ignore"):
+            oracle(np.full(2, beta_hat), truth)
+
+
 def test_monte_carlo_rejects_non_spd_covariance():
     sigma = CovSpec("matrix", matrix=np.array([[1.0, 2.0], [2.0, 1.0]]))
     truth = TrueModel(np.ones(2), sigma, 1.0)

@@ -15,7 +15,7 @@ from loorisk.datagen import (
     gen_response,
 )
 from loorisk.losses import LossSpec, loss_eval
-from loorisk.regularizers import RegSpec
+from loorisk.regularizers import RegSpec, reg_eval
 from loorisk.risk import alo, fold_assignments, kfold_cv, lo_exact, refits
 from loorisk.solver import (
     Dataset,
@@ -415,10 +415,10 @@ def test_nan_newton_candidate_is_never_accepted(monkeypatch):
     def poisoned_terms(spec, y, z):
         value, d1, d2 = real_terms(spec, y, z)
         if np.ndim(z) == 2:
-            # the batched kernel sees one refit per row of z; its second
+            # the batched kernel sees one refit per row of z; its first
             # call holds the first step of all eight refits in row order
             batched_calls.append(z)
-            if len(batched_calls) == 2:
+            if len(batched_calls) == 1:
                 value[3] = np.nan
         else:
             value = poison_refit(y, z, value)
@@ -437,7 +437,7 @@ def test_nan_newton_candidate_is_never_accepted(monkeypatch):
     monkeypatch.setattr(solver, "fit", recording_fit)
     with pytest.raises(SolverError, match=r"rows \[3\] did not converge"):
         lo_exact(data, RIDGE_SQ, full_fit=full)
-    assert len(batched_calls) >= 2
+    assert batched_calls[0].shape[0] == 8
     assert len(poisoned_calls) > 1
     failed = refit_results[-1]
     assert not failed.converged
@@ -747,3 +747,103 @@ def test_alo_is_the_first_step_of_the_refit_engine(monkeypatch, loss, reg, n, p)
         # the step is exact on a quadratic
         lo = lo_exact(data, model, full_fit=full)
         assert np.array_equal(loss_eval(loss_spec, data.y, z_step)[0], lo.per_sample)
+
+
+def direct_start(data, model, groups, warm):
+    """Objective, gradient and first Newton direction of each refit at warm,
+    from the tiled warm start scored on its kept rows, times H^{-1}."""
+    X, lam, m = data.X, model.lam, len(groups)
+    keep = np.ones((m, data.n), dtype=bool)
+    for j, rows in enumerate(groups):
+        keep[j, rows] = False
+    B = np.tile(warm, (m, 1))
+    loss_sum, loss_grad, _ = solver._block_loss(model.loss, X, data.y, B @ X.T, keep)
+    rv, rg, _ = reg_eval(model.reg, B)
+    obj, grad = loss_sum + lam * rv, loss_grad + lam * rg
+    d2 = loss_eval(model.loss, data.y, X @ warm)[2]
+    H = X.T @ (d2[:, None] * X) + lam * np.diag(reg_eval(model.reg, warm)[2])
+    H_inv = np.linalg.inv(H)
+    directions = []
+    for j, rows in enumerate(groups):
+        # H_j^{-1} = H^{-1} + W (I - D Q)^{-1} D W^T for the rows' D, W, Q
+        W = H_inv @ X[rows].T
+        DQ = d2[rows, None] * (X[rows] @ W)
+        correction = W @ np.linalg.solve(np.eye(len(rows)) - DQ, d2[rows, None] * W.T)
+        directions.append(-grad[j] @ (H_inv + correction))
+    return obj, grad, np.array(directions)
+
+
+@pytest.mark.parametrize("family", ["logistic", "poisson_softrect"])
+@pytest.mark.parametrize("reg", list(SMOOTH_REGS))
+@pytest.mark.parametrize("groups", ["lo", "unequal_folds"])
+def test_refits_start_from_the_full_fit_terms(monkeypatch, family, reg, groups):
+    # the block starts each refit from the full fit's loss terms less those
+    # of its held-out rows; that start must be the one a direct evaluation
+    # of the warm start on the kept rows gives
+    data, loss = glm_instance(family, n=23)
+    model = ModelSpec(loss, SMOOTH_REGS[reg], lam=1.0)
+    full = fit(data, model, SolverOpts(tol=1e-12))
+    if groups == "lo":
+        groups = [np.array([i]) for i in range(data.n)]
+    else:
+        labels = fold_assignments(data.n, 5, seed=8)
+        # in the order the engine yields them, by smallest row
+        folds = [np.flatnonzero(labels == fold) for fold in range(5)]
+        groups = sorted(folds, key=lambda rows: rows[0])
+        assert len({rows.size for rows in groups}) == 2
+    obj, grad, direction = direct_start(data, model, groups, full.beta_hat)
+    real_fit, hand_overs = solver.fit, []
+
+    def counting_fit(*args, **kwargs):
+        hand_overs.append(1)
+        return real_fit(*args, **kwargs)
+
+    def refit(opts):
+        results = fit_leave_groups_out(data, model, groups, full.beta_hat, opts)
+        return [res for _, res in results]
+
+    monkeypatch.setattr(solver, "fit", counting_fit)
+    # a tolerance every start meets reports the start itself
+    at_start = refit(SolverOpts(tol=1e300))
+    one_step = refit(SolverOpts(tol=1e-300, max_iter=1))
+    assert hand_overs == []
+    assert all(res.iterations == 0 for res in at_start)
+    start_obj = np.array([res.objective for res in at_start])
+    start_gnorm = np.array([res.grad_inf_norm for res in at_start])
+    step = np.array([res.beta_hat for res in one_step]) - full.beta_hat
+    assert np.max(np.abs(start_obj - obj) / np.abs(obj)) <= 1e-12
+    gnorm = np.max(np.abs(grad), axis=1)
+    assert np.max(np.abs(start_gnorm - gnorm) / gnorm) <= 1e-12
+    assert np.max(np.abs(step - direction)) <= 1e-12 * np.max(np.abs(direction))
+
+
+@pytest.mark.parametrize("case", ["ridge", "l1_active_set", "elastic_net_s_above_n"])
+def test_alo_leverage_matches_a_dense_solve(monkeypatch, case):
+    rng = np.random.default_rng(4)
+    if case == "ridge":
+        data, model = logistic_ridge_instance(30, seed=3)
+        opts = None
+    else:
+        n, p = (40, 20) if case == "l1_active_set" else (20, 60)
+        X = rng.standard_normal((n, p))
+        y = X @ (rng.standard_normal(p) * (rng.random(p) < 0.4))
+        data = Dataset(X, y + rng.standard_normal(n))
+        reg = RegSpec("l1") if case == "l1_active_set" else ENET_SQ.reg
+        model = ModelSpec(LossSpec("squared"), reg, lam=5.0 if n == 40 else 0.5)
+        opts = PROX_OPTS
+    full = fit(data, model, opts)
+    real_leverage, calls = risk._leverage, []
+
+    def recording_leverage(Xs, d2, curvature):
+        calls.append((Xs, d2, curvature, real_leverage(Xs, d2, curvature)))
+        return calls[-1][-1]
+
+    monkeypatch.setattr(risk, "_leverage", recording_leverage)
+    report = alo(data, model, full)
+    (Xs, d2, curvature, q), = calls
+    if case == "elastic_net_s_above_n":
+        assert report.active_set.size > data.n
+    A = Xs.T @ (d2[:, None] * Xs) + np.diag(curvature)
+    reference = np.einsum("ij,ji->i", Xs, np.linalg.solve(A, Xs.T))
+    assert np.all(q >= 0.0)
+    assert np.max(np.abs(q - reference)) <= 1e-12 * np.max(np.abs(reference))

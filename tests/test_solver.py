@@ -358,3 +358,25 @@ def test_armijo_test_rejects_non_descent_and_nan():
     assert ok.tolist() == [True, False, False, False, True]
     assert not solver._armijo_ok(0.99999, 1.0, -1.0, t=1.0)
     assert solver._armijo_ok(0.99999, 1.0, -1.0, t=0.05)
+
+
+def test_weighted_gram_is_exactly_symmetric():
+    rng = np.random.default_rng(41)
+    X = rng.standard_normal((37, 23))
+    w = rng.random(37) * (rng.random(37) < 0.8)
+    shift = rng.random(23)
+    A = solver._weighted_gram(X, w, shift)
+    reference = X.T @ np.diag(w) @ X + np.diag(shift)
+    assert np.array_equal(A, A.T)
+    assert np.max(np.abs(A - reference)) <= 1e-13 * np.max(np.abs(reference))
+
+
+def test_inverse_from_the_factor_matches_numpy():
+    rng = np.random.default_rng(42)
+    X = rng.standard_normal((40, 31)) / np.sqrt(40)
+    w, shift = rng.random(40), np.full(31, 0.1)
+    H = solver._weighted_gram(X, w, shift)
+    H_inv = solver._factor_inverse(solver._hessian_factor(X, w, shift))
+    reference = np.linalg.inv(H)
+    assert np.array_equal(H_inv, H_inv.T)
+    assert np.max(np.abs(H_inv - reference)) <= 1e-12 * np.max(np.abs(reference))
