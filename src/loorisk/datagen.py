@@ -9,6 +9,7 @@ generator's ziggurat sampler; Laplace draws use the explicit inverse CDF.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -21,16 +22,28 @@ _DOMAIN_BETA = 2
 _DOMAIN_RESPONSE = 3
 
 
+def _seed_sequence(seed, path):
+    # integers only: int() would truncate a float seed into another seed's
+    # stream, where numpy's own default_rng raises TypeError
+    return np.random.SeedSequence(tuple(operator.index(x) for x in (seed, *path)))
+
+
 def substream(seed, *path):
-    """Independent Generator keyed by (seed, *path)."""
-    entropy = (int(seed),) + tuple(int(x) for x in path)
-    return np.random.Generator(np.random.PCG64(np.random.SeedSequence(entropy)))
+    """Independent Generator keyed by the integers (seed, *path)."""
+    return np.random.Generator(np.random.PCG64(_seed_sequence(seed, path)))
 
 
 def derive_seed(seed, *path):
-    """A 64-bit integer seed derived from (seed, *path), for nesting."""
-    entropy = (int(seed),) + tuple(int(x) for x in path)
-    return int(np.random.SeedSequence(entropy).generate_state(1, np.uint64)[0])
+    """A 64-bit integer seed derived from the integers (seed, *path), for nesting."""
+    return int(_seed_sequence(seed, path).generate_state(1, np.uint64)[0])
+
+
+def _integer(name, value):
+    """value as an int; raises ValueError naming it unless value is integral."""
+    try:
+        return operator.index(value)
+    except TypeError:
+        raise ValueError(f"{name} must be an integer, got {value!r}") from None
 
 
 @dataclass(frozen=True, eq=False)
@@ -158,12 +171,15 @@ def gen_response(X, beta_star, family, seed, noise_var=None, shape=None):
     uses the exponential link via a gamma-Poisson mixture.
     """
     z = X @ np.asarray(beta_star, dtype=float)
-    return _response(z, family, seed, noise_var, shape)
+    return _response(z, family, substream(seed, _DOMAIN_RESPONSE), noise_var, shape)
 
 
-def _response(z, family, seed, noise_var=None, shape=None):
-    """Responses drawn given the true linear predictors z = X beta_star."""
-    rng = substream(seed, _DOMAIN_RESPONSE)
+def _response(z, family, rng, noise_var=None, shape=None):
+    """Responses drawn from rng given the true linear predictors z = X beta_star.
+
+    Draws go row by row, so calls on consecutive blocks of z draw what one
+    call on all of z would; negative_binomial, all gammas first, excepted.
+    """
     if family == "linear":
         if noise_var is None or noise_var < 0:
             raise ValueError("linear family requires noise_var >= 0")
@@ -212,6 +228,7 @@ class SimConfig:
             object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
         if self.reps < 1:
             raise ValueError("reps must be >= 1")
+        _integer("seed", self.seed)
         if (self.p is None) == (self.p_ratio is None):
             raise ValueError("exactly one of p, p_ratio must be set")
         if (self.k is None) == (self.k_ratio is None):
@@ -222,7 +239,8 @@ class SimConfig:
             self.sigma_for(n)
             self.k_for(n)
         gen_beta_star(1, 1, self.beta_dist, self.seed)
-        _response(np.zeros(1), self.family, self.seed, self.noise_var, self.shape)
+        rng = substream(self.seed, _DOMAIN_RESPONSE)
+        _response(np.zeros(1), self.family, rng, self.noise_var, self.shape)
 
     def p_for(self, n):
         p = self.p if self.p is not None else int(round(self.p_ratio * n))

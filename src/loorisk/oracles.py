@@ -4,6 +4,8 @@ Closed forms exist for the linear-Gaussian and logistic designs; a seeded
 Monte-Carlo estimate covers every family and cross-checks the closed forms.
 It draws (x_o beta_star, x_o beta_hat), all that the response and the loss
 see of x_o, from its bivariate normal law: two normals a sample for any p.
+The draws are keyed by chunk, the substream unit, and made a block at a time,
+the memory unit, so the estimate's memory is a few cache-sized vectors.
 Input is checked once, on entry; then only arithmetic runs: the Gauss-Hermite
 rule is built once per order, and phi is scored by its value alone.
 """
@@ -16,10 +18,20 @@ from functools import lru_cache
 import numpy as np
 from scipy.special import expit
 
-from .datagen import CovSpec, _response, derive_seed, substream
+from .datagen import (
+    _DOMAIN_RESPONSE,
+    CovSpec,
+    _integer,
+    _response,
+    derive_seed,
+    substream,
+)
 from .losses import _check_family, _loss_value, _softplus
 
+# A chunk is the substream unit, which fixes a seed's draws (bench/run.py reads
+# it); a block is the memory unit, the rows drawn at a time (128 KB a vector).
 _MC_CHUNK = 200_000
+_MC_BLOCK = 16_384
 
 
 def _finite(name, values):
@@ -124,10 +136,13 @@ def err_out_monte_carlo(beta_hat, truth, model, m, seed):
     (x_o beta_star, x_o beta_hat), which under the Gaussian design is
     bivariate normal with covariance given by quad and cross; each sample
     draws that pair from two normals, not x_o from p, and phi keeps its law.
-    Chunks use independent substreams and are merged by streaming
-    mean/variance of the deviations from the first draw, so a constant phi
-    returns its value with std_err 0.
+    m must be an integer >= 100.  Each chunk of _MC_CHUNK samples draws from
+    its own substreams, which fix the draws; they are read in blocks of
+    _MC_BLOCK rows, so memory stays at a few block-sized vectors for any m.
+    Blocks are merged by streaming mean/variance of the deviations from the
+    first draw, so a constant phi returns its value with std_err 0.
     """
+    m = _integer("m", m)
     if m < 100:
         raise ValueError("m must be >= 100")
     beta_hat = _finite("beta_hat", beta_hat)
@@ -144,29 +159,30 @@ def err_out_monte_carlo(beta_hat, truth, model, m, seed):
     count = 0
     mean = 0.0
     m2 = 0.0
-    chunk_index = 0
-    while count < m:
-        size = min(_MC_CHUNK, m - count)
-        g = substream(seed, chunk_index).standard_normal((size, 2))
-        y = _response(
-            a * g[:, 0],
-            truth.family,
-            derive_seed(seed, chunk_index, 1),
-            noise_var=truth.noise_var,
-            shape=truth.shape,
-        )
-        values = _loss_value(model.phi_spec, y, b * g[:, 0] + d * g[:, 1])
-        shift = float(values[0]) if shift is None else shift
-        values -= shift
-        # Chan's pairwise merge of (count, mean, M2) summaries
-        c_count = size
-        c_mean = float(np.mean(values))
-        c_m2 = float(np.sum((values - c_mean) ** 2))
-        delta = c_mean - mean
-        total = count + c_count
-        mean += delta * c_count / total
-        m2 += c_m2 + delta * delta * count * c_count / total
-        count = total
-        chunk_index += 1
+    for chunk, chunk_start in enumerate(range(0, m, _MC_CHUNK)):
+        chunk_end = min(chunk_start + _MC_CHUNK, m)
+        normals = substream(seed, chunk)
+        responses = substream(derive_seed(seed, chunk, 1), _DOMAIN_RESPONSE)
+        for start in range(chunk_start, chunk_end, _MC_BLOCK):
+            size = min(_MC_BLOCK, chunk_end - start)
+            g = normals.standard_normal((size, 2))
+            y = _response(
+                a * g[:, 0],
+                truth.family,
+                responses,
+                noise_var=truth.noise_var,
+                shape=truth.shape,
+            )
+            values = _loss_value(model.phi_spec, y, b * g[:, 0] + d * g[:, 1])
+            shift = float(values[0]) if shift is None else shift
+            values -= shift
+            # Chan's pairwise merge of (count, mean, M2) summaries
+            c_mean = float(np.mean(values))
+            c_m2 = float(np.sum((values - c_mean) ** 2))
+            delta = c_mean - mean
+            total = count + size
+            mean += delta * size / total
+            m2 += c_m2 + delta * delta * count * size / total
+            count = total
     std_err = np.sqrt(m2 / (count - 1) / count)
     return float(shift + mean), float(std_err)

@@ -65,6 +65,14 @@ def _dot(a, b):
     return a @ b if a.ndim == 1 else (a * b).sum(axis=1)
 
 
+def _smoothed_enet_value(spec, beta):
+    # value of each row, with the surrogate's slope and curvature from the
+    # same evaluation of its parts
+    v, t, curv = _smooth_abs_parts(beta, spec.smooth_sharpness)
+    value = _dot(spec.mix * beta, beta) + (1.0 - spec.mix) * np.sum(v, axis=-1)
+    return value, t, curv
+
+
 def reg_value(spec, beta):
     """Penalty value (without lambda) for any family.
 
@@ -75,8 +83,7 @@ def reg_value(spec, beta):
     if f == "ridge":
         value = 0.5 * _dot(beta, beta)
     elif f == "smoothed_elastic_net":
-        v, _, _ = _smooth_abs_parts(beta, spec.smooth_sharpness)
-        value = _dot(spec.mix * beta, beta) + (1.0 - spec.mix) * np.sum(v, axis=-1)
+        value, _, _ = _smoothed_enet_value(spec, beta)
     elif f == "l1":
         value = np.abs(beta).sum(axis=-1)
     else:  # elastic_net
@@ -97,11 +104,11 @@ def reg_eval(spec, beta):
         raise ValueError(f"reg_eval requires a smooth family, got {spec.family}")
     beta = np.asarray(beta, dtype=float)
     if spec.family == "ridge":
-        grad = beta.copy()
-    else:
-        _, t, _ = _smooth_abs_parts(beta, spec.smooth_sharpness)
-        grad = 2.0 * spec.mix * beta + (1.0 - spec.mix) * t
-    return reg_value(spec, beta), grad, reg_curvature_diag(spec, beta)
+        return reg_value(spec, beta), beta.copy(), reg_curvature_diag(spec, beta)
+    value, t, curv = _smoothed_enet_value(spec, beta)
+    grad = 2.0 * spec.mix * beta + (1.0 - spec.mix) * t
+    curv = 2.0 * spec.mix + (1.0 - spec.mix) * curv
+    return float(value) if beta.ndim == 1 else value, grad, curv
 
 
 def prox_step(spec, v, step, lam):
@@ -156,8 +163,7 @@ def reg_curvature_diag(spec, beta):
     if f == "ridge":
         return np.ones_like(beta)
     if f == "smoothed_elastic_net":
-        _, _, curv = _smooth_abs_parts(beta, spec.smooth_sharpness)
-        return 2.0 * spec.mix + (1.0 - spec.mix) * curv
+        return reg_eval(spec, beta)[2]
     if f == "elastic_net":
         return np.full_like(beta, 1.0 - spec.mix)
     return np.zeros_like(beta)

@@ -2,8 +2,10 @@ import numpy as np
 import pytest
 
 from loorisk.datagen import (
+    _DOMAIN_RESPONSE,
     CovSpec,
     SimConfig,
+    _response,
     derive_seed,
     gen_beta_star,
     gen_design,
@@ -124,6 +126,43 @@ def test_substreams_have_distinct_fingerprints():
         rng = substream(derive_seed(99, 10, rep))
         fingerprints.add(tuple(rng.standard_normal(16).tolist()))
     assert len(fingerprints) == 1000
+
+
+def test_integer_seeds_keep_their_streams():
+    # values from before seeds were checked for integrality; any integer type
+    # keys the same stream
+    assert derive_seed(1, 2) == derive_seed(np.int64(1), np.uint8(2))
+    assert derive_seed(1, 2) == 15529898885419721899
+    assert substream(np.int32(7), 3).integers(0, 2**63) == 8993097214371588835
+
+
+@pytest.mark.parametrize("seed, path", [(1.5, (2,)), (1.0, ()), (1, (2.5,))])
+def test_non_integral_seeds_are_refused(seed, path):
+    # int() would truncate 1.5 into seed 1's stream; numpy's own
+    # default_rng(1.5) raises TypeError too
+    with pytest.raises(TypeError):
+        substream(seed, *path)
+    with pytest.raises(TypeError):
+        derive_seed(seed, *path)
+
+
+def test_sim_config_refuses_a_non_integral_seed():
+    with pytest.raises(ValueError, match="seed must be an integer"):
+        SimConfig(ns=(50,), p=20, k=2, seed=1.5)
+    assert SimConfig(ns=(50,), p=20, k=2, seed=np.int64(3)).seed == 3
+
+
+@pytest.mark.parametrize("family", ["linear", "logistic", "poisson_softrect"])
+def test_responses_drawn_in_blocks_equal_one_draw(family):
+    # the Monte-Carlo oracle reads one response stream a block at a time
+    z = np.linspace(-3.0, 3.0, 1000)
+    whole = _response(z, family, substream(5, _DOMAIN_RESPONSE), noise_var=0.7)
+    rng = substream(5, _DOMAIN_RESPONSE)
+    blocks = [
+        _response(z[i : i + 300], family, rng, noise_var=0.7)
+        for i in range(0, 1000, 300)
+    ]
+    assert np.concatenate(blocks).tobytes() == whole.tobytes()
 
 
 def test_replicates_are_reproducible():

@@ -4,9 +4,17 @@ import warnings
 import numpy as np
 import pytest
 
-from loorisk.datagen import CovSpec, gen_response, substream
-from loorisk.losses import LossSpec, loss_eval
+from loorisk.datagen import (
+    _DOMAIN_RESPONSE,
+    CovSpec,
+    _response,
+    derive_seed,
+    gen_response,
+    substream,
+)
+from loorisk.losses import LossSpec, _loss_value, loss_eval
 from loorisk.oracles import (
+    _MC_CHUNK,
     TrueModel,
     _hermite_rule,
     err_out_linear,
@@ -163,6 +171,17 @@ def test_monte_carlo_validates_m():
     truth = TrueModel(np.ones(2), CovSpec("scaled_identity", 1.0), 1.0)
     with pytest.raises(ValueError):
         err_out_monte_carlo(np.ones(2), truth, LINEAR_MODEL, 50, 0)
+
+
+@pytest.mark.parametrize("m", [1e5, 100.5, "1000"])
+def test_monte_carlo_refuses_a_non_integer_m(m):
+    truth = TrueModel(np.ones(2), CovSpec("scaled_identity", 1.0), 1.0)
+    with pytest.raises(ValueError, match="m must be an integer"):
+        err_out_monte_carlo(np.ones(2), truth, LINEAR_MODEL, m, 0)
+    # numpy's integers are integers
+    assert err_out_monte_carlo(
+        np.ones(2), truth, LINEAR_MODEL, np.int64(1000), 0
+    ) == err_out_monte_carlo(np.ones(2), truth, LINEAR_MODEL, 1000, 0)
 
 
 def full_draw_monte_carlo(beta_hat, truth, model, m, seed):
@@ -374,3 +393,82 @@ def _peak_traced_bytes(p, kind):
 def test_monte_carlo_memory_does_not_grow_with_p(kind):
     # a draw of x_o would need 200k x 300 doubles (480 MB) at p = 300
     assert _peak_traced_bytes(300, kind) <= 2.0 * _peak_traced_bytes(3, kind)
+
+
+PHI = {
+    "linear": LossSpec("squared"),
+    "logistic": LossSpec("logistic"),
+    "poisson_softrect": LossSpec("poisson_softrect"),
+    "negative_binomial": LossSpec("negative_binomial", shape=0.5),
+}
+
+
+def family_case(family):
+    """(beta_hat, truth, model) for one response family on a p = 8 design."""
+    rng = np.random.default_rng(40)
+    p = 8
+    truth = TrueModel(
+        rng.standard_normal(p),
+        CovSpec("matrix", matrix=random_spd(p, 41)),
+        noise_var=0.8 if family == "linear" else 0.0,
+        family=family,
+        shape=0.5 if family == "negative_binomial" else None,
+    )
+    beta_hat = truth.beta_star + 0.5 * rng.standard_normal(p)
+    return beta_hat, truth, ModelSpec(PHI[family], RegSpec("ridge"), lam=1.0)
+
+
+def whole_chunk_monte_carlo(beta_hat, truth, model, m, seed):
+    """The oracle with each chunk's substreams read in one call, not in blocks."""
+    sigma = truth.sigma_spec
+    a = np.sqrt(sigma.quad(truth.beta_star))
+    b = sigma.cross(beta_hat, truth.beta_star) / a
+    d = np.sqrt(max(sigma.quad(beta_hat) - b * b, 0.0))
+    shift = None
+    count = 0
+    mean = 0.0
+    m2 = 0.0
+    chunk_index = 0
+    while count < m:
+        size = min(_MC_CHUNK, m - count)
+        g = substream(seed, chunk_index).standard_normal((size, 2))
+        rng = substream(derive_seed(seed, chunk_index, 1), _DOMAIN_RESPONSE)
+        y = _response(a * g[:, 0], truth.family, rng, noise_var=truth.noise_var)
+        values = _loss_value(model.phi_spec, y, b * g[:, 0] + d * g[:, 1])
+        shift = float(values[0]) if shift is None else shift
+        values -= shift
+        c_mean = float(np.mean(values))
+        c_m2 = float(np.sum((values - c_mean) ** 2))
+        delta = c_mean - mean
+        total = count + size
+        mean += delta * size / total
+        m2 += c_m2 + delta * delta * count * size / total
+        count = total
+        chunk_index += 1
+    return shift + mean, np.sqrt(m2 / (count - 1) / count)
+
+
+@pytest.mark.parametrize("family", ["linear", "logistic", "poisson_softrect"])
+def test_blocked_draws_equal_whole_chunk_draws(family):
+    # three chunks, the last one partial, and a partial last block in each:
+    # the draws are the same, and only the merge order moves the summaries
+    beta_hat, truth, model = family_case(family)
+    m = 450_000
+    mean, se = err_out_monte_carlo(beta_hat, truth, model, m, 77)
+    ref_mean, ref_se = whole_chunk_monte_carlo(beta_hat, truth, model, m, 77)
+    assert abs(mean - ref_mean) <= 1e-15 * abs(ref_mean)
+    assert abs(se - ref_se) <= 1e-15 * ref_se
+
+
+@pytest.mark.parametrize("family", sorted(PHI))
+def test_monte_carlo_memory_does_not_grow_with_m(family):
+    # drawn a block at a time, a million samples need a few 128 KB vectors;
+    # drawn a 200k-row chunk at a time they needed 10-16 MB
+    beta_hat, truth, model = family_case(family)
+    tracemalloc.start()
+    try:
+        err_out_monte_carlo(beta_hat, truth, model, 1_000_000, 3)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2_000_000

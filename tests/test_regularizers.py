@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from loorisk import regularizers
 from loorisk.regularizers import (
     RegSpec,
     prox_step,
@@ -43,6 +44,37 @@ def test_smoothed_elastic_net_finite_differences():
         fd_hess = (gp[j] - gm[j]) / (2 * h)
         assert fd_grad == pytest.approx(grad[j], rel=1e-5)
         assert fd_hess == pytest.approx(hess[j], rel=1e-4)
+
+
+def test_smoothed_elastic_net_eval_is_one_parts_call(monkeypatch):
+    # reg_eval's value and curvature are reg_value's and reg_curvature_diag's
+    # to the bit, and its gradient is 2 mix b + (1 - mix) tanh(s b / 2), all
+    # from one evaluation of the surrogate's parts
+    grid = np.array(
+        [-1e150, -1e3, -40.0, -1.5, -1e-9, -0.0, 0.0, 1e-9, 0.7, 40.0, 1e150]
+    )
+    block = np.stack([grid, grid[::-1], 0.5 * grid])
+    calls = []
+    parts = regularizers._smooth_abs_parts
+
+    def counted(beta, sharpness):
+        calls.append(1)
+        return parts(beta, sharpness)
+
+    for beta in (grid, block):
+        value, grad, curv = reg_eval(SEN, beta)
+        monkeypatch.setattr(regularizers, "_smooth_abs_parts", counted)
+        reg_eval(SEN, beta)
+        monkeypatch.undo()
+        assert len(calls) == 1
+        calls.clear()
+        t = np.tanh(0.5 * (SEN.smooth_sharpness * beta))
+        expected_grad = 2.0 * SEN.mix * beta + (1.0 - SEN.mix) * t
+        expected_value = reg_value(SEN, beta)
+        assert np.asarray(value).tobytes() == np.asarray(expected_value).tobytes()
+        assert grad.tobytes() == expected_grad.tobytes()
+        assert curv.tobytes() == reg_curvature_diag(SEN, beta).tobytes()
+        assert type(value) is (float if beta.ndim == 1 else np.ndarray)
 
 
 def test_prox_l1_soft_threshold():
