@@ -137,12 +137,11 @@ def audit_assumptions(data, model, full_fit, loo_fits, t_grid_size=11):
         raise ValueError("t_grid_size must be >= 2")
     beta = np.asarray(full_fit.beta_hat, dtype=float)
     _, d1, _ = loss_eval(model.loss, data.y, data.X @ beta)
-    c0_emp = float(np.max(np.abs(d1)))
-    for i, res in loo_fits.items():
-        _, d1_i, _ = loss_eval(
-            model.loss, data.y[i], float(data.X[i] @ res.beta_hat)
-        )
-        c0_emp = max(c0_emp, abs(float(d1_i)))
+    # each audited row scored against its own fit, on the responses checked above
+    rows = list(loo_fits)
+    z_loo = np.array([data.X[i] @ loo_fits[i].beta_hat for i in rows], dtype=float)
+    _, d1_loo, _ = _loss_terms(model.loss, data.y[rows], z_loo)
+    c0_emp = float(np.max(np.abs(np.concatenate([d1, d1_loo]))))
 
     t_grid = np.linspace(0.0, 1.0, t_grid_size)
     inv_eighth = []
@@ -176,10 +175,12 @@ def check_perturb_lemma(data, model, full_fit, loo_fits, nu_emp):
     if not nu_emp > 0:
         raise ValueError("nu_emp must be positive")
     beta = np.asarray(full_fit.beta_hat, dtype=float)
+    audited = sorted(loo_fits)
+    z = np.array([data.X[i] @ beta for i in audited], dtype=float)
+    _, d1, _ = loss_eval(model.loss, data.y[audited], z)
     rows = []
-    for i, res in sorted(loo_fits.items()):
-        _, d1_i, _ = loss_eval(model.loss, data.y[i], float(data.X[i] @ beta))
-        lhs = float(np.linalg.norm(res.beta_hat - beta))
+    for i, d1_i in zip(audited, d1):
+        lhs = float(np.linalg.norm(loo_fits[i].beta_hat - beta))
         rhs = abs(float(d1_i)) * float(np.linalg.norm(data.X[i])) / nu_emp
         rows.append(
             {

@@ -400,17 +400,18 @@ def build_parser():
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def add_common(p):
+    def add_common(p, run):
+        p.set_defaults(run=run)
         p.add_argument("--config", help="path to a config file")
         p.add_argument("--preset", help=f"one of: {', '.join(PRESETS)}")
         p.add_argument("--seed", type=int, help="override the config seed")
         p.add_argument("--out", help="output directory")
         p.add_argument("--tol", type=float, help="override solver tolerance")
 
-    for name in ("fit", "lo", "alo"):
-        add_common(sub.add_parser(name))
+    for name, run in (("fit", _cmd_fit), ("lo", _cmd_risk), ("alo", _cmd_risk)):
+        add_common(sub.add_parser(name), run)
     cv = sub.add_parser("cv")
-    add_common(cv)
+    add_common(cv, _cmd_risk)
     cv.add_argument("--k", type=int, default=5, help="number of folds")
 
     bounds_p = sub.add_parser(
@@ -418,6 +419,7 @@ def build_parser():
         description="Bound constants for ridge-logistic regression: uses the "
         "logistic constants c0 = c1 = 2 and the curvature floor nu = lambda.",
     )
+    bounds_p.set_defaults(run=_cmd_bounds)
     bounds_p.add_argument("--rho", type=float, required=True)
     bounds_p.add_argument("--delta", type=float, required=True)
     bounds_p.add_argument("--lambda", dest="lam", type=float, required=True)
@@ -425,29 +427,17 @@ def build_parser():
     bounds_p.add_argument("--out", help="output directory")
 
     audit_p = sub.add_parser("audit")
-    add_common(audit_p)
+    add_common(audit_p, _cmd_audit)
     audit_p.add_argument("--t-grid", type=int, default=11)
     audit_p.add_argument("--sample-i", type=int, default=25)
 
     sim_p = sub.add_parser("simulate")
     sim_p.add_argument("study", choices=("table1", "table2", "figure1"))
-    add_common(sim_p)
+    add_common(sim_p, _cmd_simulate)
     sim_p.add_argument("--threads", type=int, help="worker processes")
 
-    sub.add_parser("selftest")
+    sub.add_parser("selftest").set_defaults(run=_cmd_selftest)
     return parser
-
-
-_HANDLERS = {
-    "fit": _cmd_fit,
-    "lo": _cmd_risk,
-    "alo": _cmd_risk,
-    "cv": _cmd_risk,
-    "bounds": _cmd_bounds,
-    "audit": _cmd_audit,
-    "simulate": _cmd_simulate,
-    "selftest": _cmd_selftest,
-}
 
 
 def main(argv=None):
@@ -457,7 +447,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     try:
-        return _HANDLERS[args.command](args)
+        return args.run(args)
     except ConfigError as exc:
         print(f"{exc.kind} error: {exc}", file=sys.stderr)
         return 2

@@ -95,11 +95,7 @@ class CovSpec:
 
     def quad(self, v):
         """v^T Sigma v."""
-        v = np.asarray(v, dtype=float)
-        self._require_dim(v.shape[0])
-        if self.kind == "scaled_identity":
-            return self.scale * float(v @ v)
-        return float(v @ (self.matrix @ v))
+        return self.cross(v, v)
 
     def cross(self, u, v):
         """u^T Sigma v."""
@@ -221,12 +217,17 @@ class SimConfig:
     shape: float | None = None
 
     def __post_init__(self):
-        object.__setattr__(self, "ns", tuple(sorted(int(n) for n in self.ns)))
+        ns = tuple(sorted(_integer("ns", n) for n in self.ns))
+        object.__setattr__(self, "ns", ns)
         if self.k_folds is not None:
-            object.__setattr__(self, "k_folds", tuple(int(k) for k in self.k_folds))
+            k_folds = tuple(_integer("k_folds", k) for k in self.k_folds)
+            object.__setattr__(self, "k_folds", k_folds)
         if self.lambdas is not None:
             object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
-        if self.reps < 1:
+        for name in ("p", "k"):
+            if getattr(self, name) is not None:
+                _integer(name, getattr(self, name))
+        if _integer("reps", self.reps) < 1:
             raise ValueError("reps must be >= 1")
         _integer("seed", self.seed)
         if (self.p is None) == (self.p_ratio is None):

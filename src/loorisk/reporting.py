@@ -33,12 +33,40 @@ def format_real(x):
     return f"{float(x):.17g}"
 
 
-# the "type" tag of each result dataclass in report.json
+def _experiment_rows(result):
+    keys = ("n", "p", "lam", "estimator", "mse", "mse_se", "bound_over_n")
+    return [tuple(row[key] for key in keys) for row in result.rows]
+
+
+def _risk_rows(result):
+    h = result.h_diag
+    return [
+        (i, value, None if h is None else h[i])
+        for i, value in enumerate(result.per_sample)
+    ]
+
+
+def _bound_rows(result):
+    names = ("rho", "delta", "c0", "c1", "nu", "C_b", "C_v", "bound_over_n")
+    rows = [(name, getattr(result, name)) for name in names]
+    if result.audit is not None:
+        rows.append(("c0_emp", result.audit.c0_emp))
+        rows.append(("nu_emp", result.audit.nu_emp))
+        rows.extend(result.audit.tilde_moments.items())
+    return rows
+
+
+def _fit_rows(result):
+    return list(enumerate(result.beta_hat))
+
+
+# each result dataclass: its "type" tag in report.json, its CSV columns and
+# the builder of its CSV rows, whose cells are text or numbers
 _RESULT_TYPES = {
-    ExperimentResult: "experiment",
-    RiskReport: "risk",
-    BoundReport: "bound",
-    FitResult: "fit",
+    ExperimentResult: ("experiment", EXPERIMENT_COLUMNS, _experiment_rows),
+    RiskReport: ("risk", RISK_COLUMNS, _risk_rows),
+    BoundReport: ("bound", BOUND_COLUMNS, _bound_rows),
+    FitResult: ("fit", FIT_COLUMNS, _fit_rows),
 }
 
 
@@ -48,7 +76,7 @@ def to_jsonable(obj):
     A result dataclass becomes its tag and its fields, in declaration order.
     """
     if type(obj) in _RESULT_TYPES:
-        return {"type": _RESULT_TYPES[type(obj)], **to_jsonable(asdict(obj))}
+        return {"type": _RESULT_TYPES[type(obj)][0], **to_jsonable(asdict(obj))}
     if isinstance(obj, dict):
         return {str(k): to_jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
@@ -58,52 +86,6 @@ def to_jsonable(obj):
     if isinstance(obj, (np.floating, np.integer)):
         return obj.item()
     return obj
-
-
-def _csv_rows(result):
-    if isinstance(result, ExperimentResult):
-        rows = [
-            (
-                str(r["n"]),
-                str(r["p"]),
-                format_real(r["lam"]),
-                r["estimator"],
-                format_real(r["mse"]),
-                format_real(r["mse_se"]),
-                format_real(r["bound_over_n"]),
-            )
-            for r in result.rows
-        ]
-        return EXPERIMENT_COLUMNS, rows
-    if isinstance(result, RiskReport):
-        h = result.h_diag
-        rows = [
-            (
-                str(i),
-                format_real(result.per_sample[i]),
-                format_real(h[i]) if h is not None else "",
-            )
-            for i in range(result.per_sample.size)
-        ]
-        return RISK_COLUMNS, rows
-    if isinstance(result, BoundReport):
-        rows = [
-            (name, format_real(getattr(result, name)))
-            for name in ("rho", "delta", "c0", "c1", "nu", "C_b", "C_v", "bound_over_n")
-        ]
-        if result.audit is not None:
-            rows.append(("c0_emp", format_real(result.audit.c0_emp)))
-            rows.append(("nu_emp", format_real(result.audit.nu_emp)))
-            for key, value in result.audit.tilde_moments.items():
-                rows.append((key, format_real(value)))
-        return BOUND_COLUMNS, rows
-    if isinstance(result, FitResult):
-        rows = [
-            (str(j), format_real(result.beta_hat[j]))
-            for j in range(result.beta_hat.size)
-        ]
-        return FIT_COLUMNS, rows
-    raise TypeError(f"cannot serialize {type(result).__name__}")
 
 
 def _sha256(path):
@@ -118,12 +100,16 @@ def write_results(result, out_dir, manifest_info=None):
     out_dir.mkdir(parents=True, exist_ok=True)
     started = datetime.now(timezone.utc).isoformat()
 
+    if type(result) not in _RESULT_TYPES:
+        raise TypeError(f"cannot serialize {type(result).__name__}")
+    _, header, build_rows = _RESULT_TYPES[type(result)]
     csv_path = out_dir / "results.csv"
-    header, rows = _csv_rows(result)
     with open(csv_path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(rows)
+        for row in build_rows(result):
+            # text stays text; every number, int or real, goes through format_real
+            writer.writerow([c if isinstance(c, str) else format_real(c) for c in row])
 
     json_path = out_dir / "report.json"
     with open(json_path, "w") as fh:

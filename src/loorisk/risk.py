@@ -21,7 +21,7 @@ from scipy.linalg import LinAlgError, solve_triangular
 
 from .losses import _check_response, _loss_terms, _loss_value
 from .regularizers import reg_curvature_diag, strong_convexity_lower
-from .solver import SolverError, _hessian_factor, fit, fit_leave_groups_out
+from .solver import SolverError, _as_coefs, _hessian_factor, fit, fit_leave_groups_out
 
 log = logging.getLogger(__name__)
 
@@ -124,9 +124,8 @@ def alo(data, model, full_fit):
     """
     if not full_fit.converged:
         raise ValueError("alo requires a converged full fit")
-    _check_response(model.loss, data.y)
+    beta = _as_coefs(data, model.loss, full_fit.beta_hat, "full_fit.beta_hat")
     _check_response(model.phi_spec, data.y)
-    beta = np.asarray(full_fit.beta_hat, dtype=float)
     z = data.X @ beta
     _, d1, d2 = _loss_terms(model.loss, data.y, z)
 

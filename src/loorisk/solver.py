@@ -197,20 +197,20 @@ def _armijo_ok(cand_obj, obj, slope, t=1.0):
     return (slope < 0.0) & (cand_obj <= obj + _ARMIJO * t * slope + noise)
 
 
-def _sigma_max_gram(X, keep=None, iters=60):
+def _sigma_max_gram(X, keep, iters=60):
     """Largest eigenvalue of X_j^T X_j for each row j of keep.
 
-    X_j holds the rows of X that keep[j] (an m x n mask) keeps; keep=None is
-    the one case X_j = X.  Power iteration from one deterministic start.
+    X_j holds the rows of X that keep[j] (an m x n mask) keeps.  Power
+    iteration from one deterministic start.
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(X.shape[1])
     v /= np.linalg.norm(v)
-    V = np.tile(v, (1 if keep is None else keep.shape[0], 1))
+    V = np.tile(v, (keep.shape[0], 1))
     s = np.zeros(V.shape[0])
     for _ in range(iters):
         Z = V @ X.T
-        W = (Z if keep is None else np.where(keep, Z, 0.0)) @ X
+        W = np.where(keep, Z, 0.0) @ X
         s = np.sqrt((W * W).sum(axis=1))
         # a row whose product vanishes stays at 0
         V = W / np.where(s > 0.0, s, 1.0)[:, None]
@@ -221,12 +221,11 @@ def _block_loss(loss, X, y, Z, keep):
     """Loss sum, gradient and ell'' of each row b_j of an m x p block.
 
     Z = B X^T holds the linear predictors of the block.  Row j is scored on
-    the rows of (X, y) that keep[j] keeps (keep is an m x n mask, or None to
-    keep them all); ell'' comes back for all n rows.
+    the rows of (X, y) that keep[j] keeps (keep is an m x n mask); ell''
+    comes back for all n rows.
     """
     values, d1, d2 = _loss_terms(loss, y, Z)
-    if keep is not None:
-        values, d1 = np.where(keep, values, 0.0), np.where(keep, d1, 0.0)
+    values, d1 = np.where(keep, values, 0.0), np.where(keep, d1, 0.0)
     return values.sum(axis=1), d1 @ X, d2
 
 
@@ -244,18 +243,19 @@ def _fit_newton(data, model, opts, beta0):
     obj, grad, d2, rh = evaluate(beta)
     gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
     factor = None
-    stale = False
+    singular = False
 
     for it in range(opts.max_iter):
         if gnorm <= opts.tol:
             return FitResult(beta, obj, gnorm, it, True)
+        stale = factor is not None
         if factor is None:
             try:
                 factor = _hessian_factor(X, d2, lam * rh)
             except LinAlgError:
-                log.warning("singular Newton system, falling back to gradient step")
-                factor = "gradient"
-            stale = False
+                if not singular:
+                    log.warning("singular Newton system, falling back to gradient step")
+                singular, factor = True, "gradient"
         if factor == "gradient":
             direction = -grad
         else:
@@ -283,8 +283,6 @@ def _fit_newton(data, model, opts, beta0):
         new_gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
         if factor == "gradient" or t < 1.0 or new_gnorm > _REFRESH_RATIO * gnorm:
             factor = None
-        else:
-            stale = True
         gnorm = new_gnorm
 
     return FitResult(beta, obj, gnorm, opts.max_iter, gnorm <= opts.tol)
@@ -311,14 +309,14 @@ def _fista_block(X, y, model, B, keep, opts):
     """FitResults of monotone FISTA from each row of the m x p block B.
 
     Row j minimizes the loss on the rows of (X, y) that keep[j] keeps (keep
-    is an m x n mask, or None to keep them all) plus lam * r, with its own
-    step size 1/L, momentum and restarts; the rows run in lockstep, one
-    iteration being a few products with X for the whole block.  A row
-    leaves at the top of an iteration, the one place rows leave the arrays,
-    and reports the iterations it used: converged once its prox-gradient
-    residual |b - prox(b - g/L)| is at most opts.tol; unconverged when its
-    backtracking pushed L past 1e25 in the iteration before, which it ends
-    without an update, or when opts.max_iter iterations are used.
+    is an m x n mask) plus lam * r, with its own step size 1/L, momentum and
+    restarts; the rows run in lockstep, one iteration being a few products
+    with X for the whole block.  A row leaves at the top of an iteration,
+    the one place rows leave the arrays, and reports the iterations it used:
+    converged once its prox-gradient residual |b - prox(b - g/L)| is at most
+    opts.tol; unconverged when its backtracking pushed L past 1e25 in the
+    iteration before, which it ends without an update, or when opts.max_iter
+    iterations are used.
     """
     lam, reg = model.lam, model.reg
     results = [None] * B.shape[0]
@@ -347,7 +345,7 @@ def _fista_block(X, y, model, B, keep, opts):
         base, f_base, g_base = yk[sel], fy[sel], gy[sel]
         cand = _prox(base - step * g_base, thresh, shrink)
         zc = cand @ X.T
-        f_cand, g_cand = smooth(zc, None if keep is None else keep[sel])
+        f_cand, g_cand = smooth(zc, keep[sel])
         diff = cand - base
         quad = f_base + ((g_base + half_L * diff) * diff).sum(axis=1)
         return cand, zc, f_cand, g_cand, f_cand <= quad + 1e-12 * (1.0 + np.abs(f_base))
@@ -355,7 +353,7 @@ def _fista_block(X, y, model, B, keep, opts):
     rows, x = np.arange(B.shape[0]), B
     zx = x @ X.T
     fx, gx, d2 = _block_loss(model.loss, X, y, zx, keep)
-    d2max = (d2 if keep is None else np.where(keep, d2, 0.0)).max(axis=1)
+    d2max = np.where(keep, d2, 0.0).max(axis=1)
     L = np.maximum(_sigma_max_gram(X, keep) * np.maximum(d2max, 1e-12), 1e-12)
     Fx = fx + lam * reg_value(reg, x)
     step, thresh, shrink, half_L = steps(L)
@@ -364,28 +362,27 @@ def _fista_block(X, y, model, B, keep, opts):
     # counts the momentum steps since the last restart.  A prox-gradient
     # step from x itself cannot increase the objective, so it is accepted
     # outright; a momentum candidate is accepted when its objective is at
-    # most cap, Fx up to rounding-level slack.  Otherwise the momentum is
-    # reset and the next iteration steps from x: cap is +inf while k == 0.
-    # The predictors of yk follow from those of x and of the candidate.
+    # most Fx up to rounding-level slack.  Otherwise the momentum is reset
+    # and the next iteration steps from x.  The predictors of yk follow from
+    # those of x and of the candidate.
     yk, fy, gy = x.copy(), fx.copy(), gx.copy()
     k = np.zeros(rows.size, dtype=int)
-    cap = np.full(rows.size, np.inf)
     momentum = _momentum(256)
-    # failed marks the rows whose backtracking gave up, made on the first one
-    done, failed = res <= opts.tol, None
+    # failed marks the rows whose backtracking gave up; they all leave next
+    done, failed = res <= opts.tol, np.zeros(rows.size, dtype=bool)
     for used in range(opts.max_iter + 1):
-        leave = done if failed is None else done | failed
+        leave = done | failed
         if used == opts.max_iter:
             leave = np.ones(rows.size, dtype=bool)
         if np.count_nonzero(leave):
             out = zip(rows[leave], x[leave], Fx[leave], res[leave], done[leave])
             for j, bj, Fj, rj, cj in out:
                 results[j] = FitResult(bj.copy(), float(Fj), float(rj), used, bool(cj))
-            left, failed = ~leave, None
-            rows, x, zx, fx, Fx, gx, yk, fy, gy, k, cap, L, res = (
-                a[left] for a in (rows, x, zx, fx, Fx, gx, yk, fy, gy, k, cap, L, res)
+            left = ~leave
+            rows, x, zx, fx, Fx, gx, yk, fy, gy, k, L, res = (
+                a[left] for a in (rows, x, zx, fx, Fx, gx, yk, fy, gy, k, L, res)
             )
-            keep = None if keep is None else keep[left]
+            keep, failed = keep[left], np.zeros(rows.size, dtype=bool)
             if not rows.size:
                 break
             step, thresh, shrink, half_L = steps(L)
@@ -400,8 +397,6 @@ def _fista_block(X, y, model, B, keep, opts):
                 over = L[back] > 1e25
                 if over.any():
                     log.warning("FISTA backtracking failed to find a valid step size")
-                    if failed is None:
-                        failed = np.zeros(rows.size, dtype=bool)
                     failed[back[over]] = True
                     back = back[~over]
                 cb, zb, fb, gb, ok = candidate(back, *steps(L[back]))
@@ -409,9 +404,8 @@ def _fista_block(X, y, model, B, keep, opts):
                 back = back[~ok]
             step, thresh, shrink, half_L = steps(L)
         F_cand = f_cand + lam * reg_value(reg, cand)
-        accept = F_cand <= cap
-        if failed is not None:
-            accept &= ~failed
+        cap = np.where(k > 0, Fx + 1e-14 * (1.0 + np.abs(Fx)), np.inf)
+        accept = (F_cand <= cap) & ~failed
         if np.count_nonzero(accept) == rows.size:
             res = residual(cand, g_cand, step, thresh, shrink)
             w = momentum[k]
@@ -419,7 +413,6 @@ def _fista_block(X, y, model, B, keep, opts):
             fy, gy = smooth(zc + w * (zc - zx), keep)
             k = k + 1
             x, zx, fx, Fx, gx = cand, zc, f_cand, F_cand, g_cand
-            cap = Fx + 1e-14 * (1.0 + np.abs(Fx))
             done = res <= opts.tol
         else:
             a, r = np.flatnonzero(accept), np.flatnonzero(~accept)
@@ -427,15 +420,29 @@ def _fista_block(X, y, model, B, keep, opts):
             w = momentum[k[a]]
             yk[a] = cand[a] + w * (cand[a] - x[a])
             za = zc[a] + w * (zc[a] - zx[a])
-            fy[a], gy[a] = smooth(za, None if keep is None else keep[a])
+            fy[a], gy[a] = smooth(za, keep[a])
             k[a] += 1
             x[a], zx[a], gx[a] = cand[a], zc[a], g_cand[a]
             fx[a], Fx[a] = f_cand[a], F_cand[a]
-            cap[a] = Fx[a] + 1e-14 * (1.0 + np.abs(Fx[a]))
-            yk[r], fy[r], gy[r], k[r], cap[r] = x[r], fx[r], gx[r], 0, np.inf
+            yk[r], fy[r], gy[r], k[r] = x[r], fx[r], gx[r], 0
             done = np.zeros(rows.size, dtype=bool)
             done[a] = res[a] <= opts.tol
     return results
+
+
+def _as_coefs(data, loss, beta, name):
+    """beta as a float copy, once data.y is checked against the loss domain.
+
+    The one entry check of a coefficient vector: ValueError naming it unless
+    it has shape (p,) and is finite.
+    """
+    _check_response(loss, data.y)
+    beta = np.array(beta, dtype=float)
+    if beta.shape != (data.p,):
+        raise ValueError(f"{name} has shape {beta.shape}, expected ({data.p},)")
+    if not np.all(np.isfinite(beta)):
+        raise ValueError(f"non-finite {name}")
+    return beta
 
 
 def fit(data, model, opts=None, beta0=None):
@@ -444,16 +451,15 @@ def fit(data, model, opts=None, beta0=None):
     Dispatches on the regularizer.  Returns a FitResult; non-convergence is
     reported through the converged flag, never silently.  The input is
     checked here, not in the iterations: ValueError for a response outside
-    the loss domain or a non-finite beta0.
+    the loss domain or a beta0 that is not a finite vector of length p.
     """
     opts = opts or SolverOpts()
-    _check_response(model.loss, data.y)
-    beta0 = np.zeros(data.p) if beta0 is None else np.array(beta0, dtype=float)
-    if not np.all(np.isfinite(beta0)):
-        raise ValueError("non-finite beta0")
+    beta0 = np.zeros(data.p) if beta0 is None else beta0
+    beta0 = _as_coefs(data, model.loss, beta0, "beta0")
     if model.reg.is_smooth:
         return _fit_newton(data, model, opts, beta0)
-    return _fista_block(data.X, data.y, model, beta0[None, :], None, opts)[0]
+    keep = np.ones((1, data.n), dtype=bool)
+    return _fista_block(data.X, data.y, model, beta0[None, :], keep, opts)[0]
 
 
 def _held_out(rows, n):
@@ -586,9 +592,10 @@ def _batching_pays(n, p, sizes):
 def fit_leave_groups_out(data, model, groups, warm, opts=None):
     """Refit without each group of rows, from warm, for any penalty.
 
-    warm is the full-data solution.  Groups (each one index or a 1-d index
-    array) are refit, and yielded as (rows, FitResult), in order of their
-    smallest row, _REFIT_CHUNK groups at a time as the rows of one block.
+    warm is the full-data solution, checked as fit checks beta0.  Groups
+    (each one index or a 1-d index array) are refit, and yielded as (rows,
+    FitResult), in order of their smallest row, _REFIT_CHUNK groups at a
+    time as the rows of one block.
     For l1 and elastic net the block runs the FISTA of fit in lockstep: each
     refit keeps its own step size, momentum and restarts and stops on the
     same prox-gradient residual test, so it agrees with fit_leave_one_out to
@@ -609,8 +616,7 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
     folds.
     """
     opts = opts or SolverOpts()
-    _check_response(model.loss, data.y)
-    warm = np.array(warm, dtype=float)
+    warm = _as_coefs(data, model.loss, warm, "warm")
     order = sorted(
         ((rows, _held_out(rows, data.n)) for rows in groups), key=lambda g: g[1].min()
     )

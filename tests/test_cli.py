@@ -9,6 +9,7 @@ from loorisk.reporting import to_jsonable, write_results
 from loorisk.datagen import SimConfig
 from loorisk.losses import LossSpec
 from loorisk.regularizers import RegSpec
+from loorisk.risk import RiskReport
 from loorisk.solver import ModelSpec, SolverOpts
 
 TINY_TABLE2 = """
@@ -173,6 +174,26 @@ def test_empty_experiment_writes_header_only(tmp_path):
     paths = write_results(empty, tmp_path / "empty")
     lines = paths[0].read_text().splitlines()
     assert lines == ["n,p,lambda,estimator,mse,mse_se,bound_over_n"]
+
+
+def test_write_results_refuses_an_object_that_is_not_a_result(tmp_path):
+    with pytest.raises(TypeError, match="cannot serialize dict"):
+        write_results({"estimate": 1.0}, tmp_path / "bad")
+    assert not (tmp_path / "bad" / "results.csv").exists()
+
+
+def test_csv_cells_keep_text_and_print_numbers_with_format_real(tmp_path):
+    # one cell rule for every result type: an int prints as str prints it, a
+    # missing value as an empty cell
+    report = RiskReport(np.array([0.1, 2.0]), 1.05, "lo_exact")
+    lines = write_results(report, tmp_path / "risk")[0].read_text().splitlines()
+    assert lines == ["index,per_sample,h_diag", "0,0.10000000000000001,", "1,2,"]
+    config = SimConfig(ns=(10,), p=5, k=1)
+    row = dict(n=10, p=5, lam=0.5, estimator="lo_exact", mse=1.0)
+    row.update(mse_se=None, bound_over_n=None)
+    result = ExperimentResult("table2", [row], None, config)
+    lines = write_results(result, tmp_path / "exp")[0].read_text().splitlines()
+    assert lines[1] == "10,5,0.5,lo_exact,1,,"
 
 
 def test_seventeen_digit_reals(table2_cfg, tmp_path):

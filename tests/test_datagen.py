@@ -152,6 +152,25 @@ def test_sim_config_refuses_a_non_integral_seed():
     assert SimConfig(ns=(50,), p=20, k=2, seed=np.int64(3)).seed == 3
 
 
+@pytest.mark.parametrize(
+    "field, value",
+    [("ns", (50.7,)), ("p", 20.5), ("k", 2.5), ("reps", 1.5), ("k_folds", (3.9,))],
+)
+def test_sim_config_refuses_non_integral_integer_fields(field, value):
+    # int() would truncate ns and k_folds into another design; p, k and reps
+    # would go through as given and fail, if at all, in a later call
+    base = dict(ns=(50,), p=20, k=2, seed=1, k_folds=(3,))
+    with pytest.raises(ValueError, match=f"{field} must be an integer"):
+        SimConfig(**(base | {field: value}))
+    integral = SimConfig(
+        ns=(np.int64(50),), p=np.int64(20), k=np.int64(2), seed=1, reps=np.int64(1)
+    )
+    assert integral.ns == (50,)
+    plain = gen_replicate(SimConfig(**base), 50, 0)
+    for a, b in zip(gen_replicate(integral, 50, 0)[:3], plain[:3]):
+        assert a.tobytes() == b.tobytes()
+
+
 @pytest.mark.parametrize("family", ["linear", "logistic", "poisson_softrect"])
 def test_responses_drawn_in_blocks_equal_one_draw(family):
     # the Monte-Carlo oracle reads one response stream a block at a time

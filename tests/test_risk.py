@@ -207,6 +207,27 @@ def test_alo_requires_converged_fit():
         alo(data, model, bad)
 
 
+@pytest.mark.parametrize("model", [RIDGE_SQ, ENET_SQ], ids=["ridge", "enet"])
+@pytest.mark.parametrize(
+    "bad", [np.full(10, np.nan), np.zeros(11)], ids=["nan", "length"]
+)
+def test_coefficient_vectors_are_checked_where_they_enter(model, bad):
+    # each entry point refuses the vector by name; unchecked, a NaN warm start
+    # ends in unconverged refits, a NaN beta_hat flags every ALO row at the
+    # pole, and a vector of the wrong length fails inside numpy's matmul
+    data = seeded_ridge_instance(30, 10, seed=4)
+    full = fit(data, model, PROX_OPTS)
+    with pytest.raises(ValueError, match="beta0"):
+        fit(data, model, PROX_OPTS, beta0=bad)
+    with pytest.raises(ValueError, match="warm"):
+        next(fit_leave_groups_out(data, model, range(data.n), bad, PROX_OPTS))
+    poisoned = replace(full, beta_hat=bad)
+    with pytest.raises(ValueError, match="full_fit.beta_hat"):
+        alo(data, model, poisoned)
+    with pytest.raises(ValueError, match="warm"):
+        lo_exact(data, model, PROX_OPTS, full_fit=poisoned)
+
+
 def test_kfold_equals_lo_when_k_is_n():
     data, model = logistic_ridge_instance(14, seed=9, lam=0.5)
     lo = lo_exact(data, model)

@@ -348,6 +348,21 @@ def test_fit_checks_its_input_before_iterating(monkeypatch):
     assert calls == []
 
 
+def test_singular_newton_system_is_logged_once_per_fit(caplog):
+    # separable, p > n, and a penalty whose curvature vanishes away from 0:
+    # the Hessian is singular at almost every iterate, and one fit warns once
+    rng = np.random.default_rng(0)
+    X = rng.standard_normal((20, 40))
+    data = Dataset(X, (X[:, 0] > 0).astype(float))
+    reg = RegSpec("smoothed_elastic_net", mix=0.0, smooth_sharpness=100.0)
+    model = ModelSpec(LossSpec("logistic"), reg, lam=1e-3)
+    with caplog.at_level("WARNING", logger="loorisk.solver"):
+        fit(data, model, SolverOpts(max_iter=50))
+    assert [r.getMessage() for r in caplog.records] == [
+        "singular Newton system, falling back to gradient step"
+    ]
+
+
 def test_armijo_test_rejects_non_descent_and_nan():
     # one test for the damped Newton line search and the batched refits:
     # a lower objective along a direction that does not descend, or a NaN
