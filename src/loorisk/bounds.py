@@ -47,8 +47,8 @@ class BoundReport:
     c1: float
     nu: float
     C_b: float
-    C_v: float
-    bound_over_n: float
+    C_v: float = float("nan")
+    bound_over_n: float = float("nan")
     audit: AssumptionAudit | None = None
 
 

@@ -31,13 +31,7 @@ from .bounds import (
     pick_audit_indices,
 )
 from .datagen import SimConfig
-from .experiments import (
-    _fitted_replicate,
-    check_study,
-    run_figure1,
-    run_table1,
-    run_table2,
-)
+from .experiments import _STUDIES, _fitted_replicate, _run_study, check_study
 from .losses import LossSpec, _check_family, loss_derivative_bound, loss_eval
 from .regularizers import RegSpec
 from .reporting import write_results
@@ -178,15 +172,16 @@ def _apply_overrides(args, sim, opts):
 
 
 def _threads(args):
-    if args.threads is not None:
-        return args.threads
-    env = os.environ.get("LOORISK_THREADS")
-    if env:
+    threads, where = args.threads, "--threads"
+    if threads is None:
+        env, where = os.environ.get("LOORISK_THREADS"), "LOORISK_THREADS"
         try:
-            return int(env)
+            threads = int(env) if env else 1
         except ValueError as exc:
             raise ConfigError(f"LOORISK_THREADS={env!r} is not an integer") from exc
-    return 1
+    if threads < 1:
+        raise UsageError(f"{where} = {threads}: worker processes must be >= 1")
+    return threads
 
 
 def _first_replicate(args):
@@ -288,8 +283,6 @@ def _cmd_audit(args):
         c1=c0,
         nu=audit.nu_emp,
         C_b=C_b,
-        C_v=float("nan"),
-        bound_over_n=float("nan"),
         audit=audit,
     )
     holds = sum(1 for row in perturb if row["holds"])
@@ -312,10 +305,7 @@ def _cmd_simulate(args):
         check_study(args.study, sim, model)
     except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    runner = {"table1": run_table1, "table2": run_table2, "figure1": run_figure1}[
-        args.study
-    ]
-    result = runner(sim, model, opts, threads=_threads(args))
+    result = _run_study(args.study, sim, model, opts, _threads(args))
     lines = []
     for row in result.rows:
         extra = (
@@ -432,7 +422,7 @@ def build_parser():
     audit_p.add_argument("--sample-i", type=int, default=25)
 
     sim_p = sub.add_parser("simulate")
-    sim_p.add_argument("study", choices=("table1", "table2", "figure1"))
+    sim_p.add_argument("study", choices=tuple(_STUDIES))
     add_common(sim_p, _cmd_simulate)
     sim_p.add_argument("--threads", type=int, help="worker processes")
 

@@ -219,11 +219,16 @@ class SimConfig:
     def __post_init__(self):
         ns = tuple(sorted(_integer("ns", n) for n in self.ns))
         object.__setattr__(self, "ns", ns)
+        if any(n < 2 for n in ns):
+            raise ValueError(f"ns = {ns}: every n must be >= 2 (a refit keeps a row)")
         if self.k_folds is not None:
             k_folds = tuple(_integer("k_folds", k) for k in self.k_folds)
             object.__setattr__(self, "k_folds", k_folds)
         if self.lambdas is not None:
-            object.__setattr__(self, "lambdas", tuple(float(v) for v in self.lambdas))
+            lambdas = tuple(float(v) for v in self.lambdas)
+            if not all(v > 0 for v in lambdas):
+                raise ValueError(f"lambdas = {lambdas}: every lambda must be positive")
+            object.__setattr__(self, "lambdas", lambdas)
         for name in ("p", "k"):
             if getattr(self, name) is not None:
                 _integer(name, getattr(self, name))

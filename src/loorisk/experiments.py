@@ -156,7 +156,7 @@ def _cell_rows(kind, config, model, n, results, wall_time):
 
 
 def _run_study(kind, config, model, opts, threads):
-    """Every cell of a study on one process pool (serial for threads <= 1).
+    """Every cell of a study on a pool of min(threads, reps) processes (serial for 1).
 
     A table cell is one n; a figure1 cell is one lambda at the first n.
     """
@@ -166,9 +166,10 @@ def _run_study(kind, config, model, opts, threads):
         cells = [(config.ns[0], replace(model, lam=lam)) for lam in lambdas]
     else:
         cells = [(n, model) for n in config.ns]
-    parallel = (threads or 1) > 1
+    workers = min(threads or 1, config.reps)
+    parallel = workers > 1
     rows = []
-    with ProcessPoolExecutor(threads) if parallel else nullcontext() as pool:
+    with ProcessPoolExecutor(workers) if parallel else nullcontext() as pool:
         run = pool.map if parallel else map
         for n, cell_model in cells:
             start = time.perf_counter()

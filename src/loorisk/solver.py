@@ -179,8 +179,8 @@ def _factor_inverse(factor):
     LAPACK's dpotri fills the lower triangle, mirrored here into the upper.
     """
     H_inv = dpotri(factor[0], lower=1, overwrite_c=1)[0]
-    for j in range(1, H_inv.shape[0]):
-        H_inv[:j, j] = H_inv[j, :j]
+    upper = np.triu_indices(H_inv.shape[0], 1)
+    H_inv[upper] = H_inv.T[upper]
     return H_inv
 
 
@@ -255,8 +255,8 @@ def _fit_newton(data, model, opts, beta0):
             except LinAlgError:
                 if not singular:
                     log.warning("singular Newton system, falling back to gradient step")
-                singular, factor = True, "gradient"
-        if factor == "gradient":
+                singular = True
+        if factor is None:  # singular: step along -grad
             direction = -grad
         else:
             direction = -cho_solve(factor, grad, check_finite=False)
@@ -267,21 +267,20 @@ def _fit_newton(data, model, opts, beta0):
 
         t = 1.0
         cand = beta + direction
-        cand_obj = objective(data, model, cand)
-        while not _armijo_ok(cand_obj, obj, slope, t) and t >= _MIN_STEP:
+        terms = evaluate(cand)
+        while not _armijo_ok(terms[0], obj, slope, t) and t >= _MIN_STEP:
             t *= _LINE_SEARCH_SHRINK
             cand = beta + t * direction
-            cand_obj = objective(data, model, cand)
+            terms = evaluate(cand)
         if t < _MIN_STEP:
             if stale:
                 factor = None  # retry from a fresh Hessian at the current point
                 continue
             return FitResult(beta, obj, gnorm, it, False)
 
-        beta = cand
-        obj, grad, d2, rh = evaluate(beta)
+        beta, (obj, grad, d2, rh) = cand, terms
         new_gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
-        if factor == "gradient" or t < 1.0 or new_gnorm > _REFRESH_RATIO * gnorm:
+        if t < 1.0 or new_gnorm > _REFRESH_RATIO * gnorm:
             factor = None
         gnorm = new_gnorm
 
@@ -501,14 +500,13 @@ def _refit_block(data, model, held, keep, B, warm_terms, H_inv, opts):
     """
     X, y, lam = data.X, data.y, model.lam
     values, d1, d2, obj_full, g_full, S_full = warm_terms
-    m, k = len(held), max(idx.size for idx in held)
+    sizes = np.array([idx.size for idx in held])
+    m, k = len(held), sizes.max()
     # held-out rows padded to k per refit; a padding row has no terms, so its
     # row of I - D_j Q_j is the identity and its coefficient stays 0
+    live = np.arange(k) < sizes[:, None]
     pad = np.zeros((m, k), dtype=int)
-    live = np.zeros((m, k), dtype=bool)
-    for j, idx in enumerate(held):
-        pad[j, : idx.size] = idx
-        live[j, : idx.size] = True
+    pad[live] = np.concatenate(held)
     Xg = X[pad]
     curv, d1g = np.where(live, d2[pad], 0.0), np.where(live, d1[pad], 0.0)
 

@@ -243,6 +243,45 @@ def test_threads_env_fallback(table2_cfg, tmp_path, monkeypatch):
                  "--out", str(out)]) == 0
 
 
+@pytest.mark.parametrize("threads", ["0", "-3"])
+def test_threads_below_1_exit_2(table2_cfg, capsys, monkeypatch, threads):
+    # refused before any replicate runs, from the flag or from the variable
+    argv = ["simulate", "table2", "--config", str(table2_cfg)]
+    assert main(argv + ["--threads", threads]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: --threads")
+    monkeypatch.setenv("LOORISK_THREADS", threads)
+    assert main(argv) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("usage error: LOORISK_THREADS")
+
+
+@pytest.mark.parametrize(
+    "argv, old, new, message",
+    [
+        (["lo"], "ns = 12", "ns = 1", "ns = (1,)"),
+        (["audit"], "ns = 12", "ns = 1", "ns = (1,)"),
+        (["simulate", "table1"], "ns = 12", "ns = 1", "ns = (1,)"),
+        (
+            ["simulate", "figure1"],
+            "seed = 2",
+            "seed = 2\nlambdas = 0.5, -1",
+            "lambdas = (0.5, -1.0)",
+        ),
+        (["simulate", "figure1"], "seed = 2", "seed = 2\nlambdas = nan", "(nan,)"),
+    ],
+    ids=["lo_n_1", "audit_n_1", "table1_n_1", "lambda_negative", "lambda_nan"],
+)
+def test_design_no_study_can_run_exits_2(tmp_path, capsys, argv, old, new, message):
+    # each of these used to exit 1 with a traceback from the first replicate
+    bad = tmp_path / "bad.cfg"
+    bad.write_text((TINY_LO + "k_folds = 3\n").replace(old, new))
+    assert main(argv + ["--config", str(bad)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert message in err
+
+
 def test_loss_that_cannot_score_the_family_exits_2(tmp_path, capsys):
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_LO.replace("loss = squared", "loss = logistic"))

@@ -219,3 +219,20 @@ def test_sim_config_validation():
         with pytest.raises(ValueError):
             SimConfig(**(dict(ns=(10,), p=5, k=1) | bad))
     assert SimConfig(ns=(10,), p_ratio=3.0, k_ratio=0.1).p_for(10) == 30
+
+
+@pytest.mark.parametrize(
+    "bad, name",
+    [
+        (dict(ns=(1,)), "ns"),
+        (dict(ns=(10, 1)), "ns"),
+        (dict(lambdas=(0.5, -1.0)), "lambdas"),
+        (dict(lambdas=(0.0,)), "lambdas"),
+        (dict(lambdas=(float("nan"),)), "lambdas"),
+    ],
+    ids=["n_1", "n_1_among_others", "lambda_negative", "lambda_0", "lambda_nan"],
+)
+def test_sim_config_refuses_what_no_study_can_run(bad, name):
+    # a refit keeps at least one row, and every lambda sets a ModelSpec
+    with pytest.raises(ValueError, match=name):
+        SimConfig(**(dict(ns=(10,), p=5, k=1) | bad))

@@ -4,7 +4,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from loorisk import risk, solver
+from loorisk import experiments, risk, solver
 from loorisk.datagen import SimConfig
 from loorisk.experiments import (
     fit_loglog_slope,
@@ -188,6 +188,31 @@ def test_parallel_replicates_match_serial():
             rs.pop("wall_time")
             rp.pop("wall_time")
             assert rs == rp
+
+
+def test_pool_starts_no_more_workers_than_replicates(monkeypatch):
+    # a fork pool starts all its workers at the first submit, so threads
+    # beyond the replicate count would only start idle processes
+    pools = []
+
+    class RecordingPool:
+        def __init__(self, max_workers):
+            pools.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    run_table2(tiny_table2_config(reps=2), TABLE2_MODEL, threads=10_000)
+    assert pools == [2]
+    run_table2(tiny_table2_config(reps=1), TABLE2_MODEL, threads=10_000)
+    assert pools == [2]  # one replicate runs serially
 
 
 def test_figure1_names_the_replicate_of_a_failing_refit(monkeypatch):

@@ -446,7 +446,8 @@ def test_nan_newton_candidate_is_never_accepted(monkeypatch):
         return value, d1, d2
 
     def poisoned_value(spec, y, z):
-        # the line search scores its candidates by the loss value alone
+        # objective() scores by the value kernel alone; the line search
+        # scores its candidates by _loss_terms, poisoned above
         return poison_refit(y, z, real_value(spec, y, z))
 
     def recording_fit(data, model, opts=None, beta0=None):

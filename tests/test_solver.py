@@ -363,6 +363,29 @@ def test_singular_newton_system_is_logged_once_per_fit(caplog):
     ]
 
 
+def test_newton_evaluates_each_point_it_tries_once(monkeypatch):
+    # the start and each line-search candidate cost one kernel call; an
+    # accepted candidate's terms are the next iterate's, not evaluated again
+    data = seeded_logistic_data(40, 20, 0)
+    tried = []
+    real_terms, real_value = solver._loss_terms, solver._loss_value
+
+    def terms(spec, y, z):
+        tried.append(z.tobytes())
+        return real_terms(spec, y, z)
+
+    def value(spec, y, z):
+        tried.append(z.tobytes())
+        return real_value(spec, y, z)
+
+    monkeypatch.setattr(solver, "_loss_terms", terms)
+    monkeypatch.setattr(solver, "_loss_value", value)
+    res = fit(data, logistic_ridge_model(0.1))
+    assert res.converged and res.iterations == 8
+    # eight full Newton steps: the start and eight points tried, once each
+    assert len(tried) == len(set(tried)) == 1 + res.iterations
+
+
 def test_armijo_test_rejects_non_descent_and_nan():
     # one test for the damped Newton line search and the batched refits:
     # a lower objective along a direction that does not descend, or a NaN
