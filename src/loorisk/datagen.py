@@ -13,9 +13,8 @@ import operator
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
-from .losses import _softplus
+from .losses import _sigmoid, _softplus
 
 _DOMAIN_DESIGN = 1
 _DOMAIN_BETA = 2
@@ -181,7 +180,7 @@ def _response(z, family, rng, noise_var=None, shape=None):
             raise ValueError("linear family requires noise_var >= 0")
         return z + np.sqrt(noise_var) * rng.standard_normal(z.shape[0])
     if family == "logistic":
-        return (rng.random(z.shape[0]) < expit(z)).astype(float)
+        return (rng.random(z.shape[0]) < _sigmoid(z)).astype(float)
     if family == "poisson_softrect":
         return rng.poisson(_softplus(z)).astype(float)
     if family == "negative_binomial":

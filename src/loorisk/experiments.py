@@ -15,6 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
+from . import solver
 from .bounds import compute_Cv_logistic
 from .datagen import SimConfig, derive_seed, gen_replicate
 from .oracles import TrueModel, err_out_linear, err_out_logistic
@@ -155,6 +156,11 @@ def _cell_rows(kind, config, model, n, results, wall_time):
     ]
 
 
+def _one_lane():
+    """Pool initializer: a worker refits on one lane, the pool being the parallelism."""
+    solver._LANES = 1
+
+
 def _run_study(kind, config, model, opts, threads):
     """Every cell of a study on a pool of min(threads, reps) processes (serial for 1).
 
@@ -169,7 +175,9 @@ def _run_study(kind, config, model, opts, threads):
     workers = min(threads or 1, config.reps)
     parallel = workers > 1
     rows = []
-    with ProcessPoolExecutor(workers) if parallel else nullcontext() as pool:
+    with (
+        ProcessPoolExecutor(workers, initializer=_one_lane) if parallel else nullcontext()
+    ) as pool:
         run = pool.map if parallel else map
         for n, cell_model in cells:
             start = time.perf_counter()

@@ -2,7 +2,8 @@
 
 Every family is convex in the linear predictor z, so the second derivative
 is nonnegative everywhere.  Evaluation is overflow-free for |z| up to ~700:
-all exponentials go through the stable softplus / sigmoid branches.
+all exponentials go through the stable softplus or the sigmoid, whose e^-z
+may overflow, silently, only to give 0.
 """
 
 from __future__ import annotations
@@ -10,7 +11,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.special import expit
 
 FAMILIES = (
     "squared",
@@ -64,6 +64,12 @@ def _softplus(z):
     """log(1 + e^z) without overflow."""
     z = np.asarray(z, dtype=float)
     return np.maximum(z, 0.0) + np.log1p(np.exp(-np.abs(z)))
+
+
+def _sigmoid(z):
+    """1 / (1 + e^-z); e^-z overflows to inf below z = -709, giving 0."""
+    with np.errstate(over="ignore"):
+        return 1.0 / (1.0 + np.exp(-z))
 
 
 def _check_response(spec, y):
@@ -120,7 +126,7 @@ def _loss_terms(spec, y, z):
         r = z - y
         return value, r, np.ones(r.shape)
     if f == "logistic":
-        s = expit(z)
+        s = _sigmoid(z)
         return value, s - y, s * (1.0 - s)
     if f == "pseudo_huber":
         g = spec.huber_scale
@@ -133,13 +139,13 @@ def _loss_terms(spec, y, z):
         return value, -t, 0.5 * g * (1.0 - t * t)
     if f == "poisson_softrect":
         mean = np.maximum(_softplus(z), _MEAN_FLOOR)
-        slope = expit(z)
+        slope = _sigmoid(z)
         curv = slope * (1.0 - slope)
         ratio = y / mean
         d2 = curv * (1.0 - ratio) + y * (slope / mean) ** 2
         return value, slope * (1.0 - ratio), d2
     a = spec.shape
-    s = expit(z + np.log(a))
+    s = _sigmoid(z + np.log(a))
     return value, (y + 1.0 / a) * s - y, (y + 1.0 / a) * s * (1.0 - s)
 
 

@@ -16,7 +16,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.special import expit
 
 from .datagen import (
     _DOMAIN_RESPONSE,
@@ -26,7 +25,7 @@ from .datagen import (
     derive_seed,
     substream,
 )
-from .losses import _check_family, _loss_value, _softplus
+from .losses import _check_family, _loss_value, _sigmoid, _softplus
 
 # A chunk is the substream unit, which fixes a seed's draws (bench/run.py reads
 # it); a block is the memory unit, the rows drawn at a time (128 KB a vector).
@@ -121,7 +120,7 @@ def err_out_logistic(beta_hat, truth, quad_order=64):
     _check_overflow(var_z, var_w, cross)
     if not var_z > 0:
         raise ValueError("degenerate beta_star")
-    e_zsig = gauss_hermite_expectation(lambda z: z * expit(z), var_z, quad_order)
+    e_zsig = gauss_hermite_expectation(lambda z: z * _sigmoid(z), var_z, quad_order)
     e_softplus = gauss_hermite_expectation(_softplus, var_w, quad_order)
     value = -cross / var_z * e_zsig + e_softplus
     _check_overflow(value)

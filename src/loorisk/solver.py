@@ -19,16 +19,21 @@ penalties (ridge, smoothed elastic net) the full-data Hessian (numpy's
 B^T B, as every penalized Hessian here), factored once, inverted from its
 factor by LAPACK's dpotri and corrected for each group's rows by Woodbury,
 drives a fixed-Hessian Newton iteration on the block that starts from the
-full fit's loss terms less the group's own; a refit that stalls is handed
+full fit's loss terms less the group's own; like the FISTA block, it retires
+a refit only at the top of an iteration, and a refit that stalls is handed
 to fit_leave_one_out.  Smooth groups so few and large that this setup
 costs more flops than one factorization per group (K-fold with K <= 3 or
-so) are refit one at a time by fit_leave_one_out instead.
+so) are refit one at a time by fit_leave_one_out instead.  The blocks run
+in parallel lanes, one thread per CPU the process may use, with the same
+bytes for any lane count, in O(lanes x block) floats besides the data.
 """
 
 from __future__ import annotations
 
 import logging
 import math
+import os
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 
@@ -51,6 +56,13 @@ _REFRESH_RATIO = 0.25
 # held-out groups refit together, as the rows of one block, by
 # fit_leave_groups_out
 _REFIT_CHUNK = 64
+# lanes (threads) that refit fit_leave_groups_out's blocks, one per CPU the
+# process may use; experiments sets its pool workers to 1
+_LANES = (
+    len(os.sched_getaffinity(0))
+    if hasattr(os, "sched_getaffinity")
+    else os.cpu_count() or 1
+)
 
 
 class SolverError(RuntimeError):
@@ -179,8 +191,8 @@ def _factor_inverse(factor):
     LAPACK's dpotri fills the lower triangle, mirrored here into the upper.
     """
     H_inv = dpotri(factor[0], lower=1, overwrite_c=1)[0]
-    upper = np.triu_indices(H_inv.shape[0], 1)
-    H_inv[upper] = H_inv.T[upper]
+    for j in range(1, H_inv.shape[0]):
+        H_inv[:j, j] = H_inv[j, :j]
     return H_inv
 
 
@@ -461,17 +473,27 @@ def fit(data, model, opts=None, beta0=None):
     return _fista_block(data.X, data.y, model, beta0[None, :], keep, opts)[0]
 
 
-def _held_out(rows, n):
-    """rows (one index or a 1-d index array) as an index array, checked."""
-    idx = np.atleast_1d(rows)
-    if idx.ndim != 1 or idx.size == 0 or not np.issubdtype(idx.dtype, np.integer):
+def _held_out(groups, n):
+    """(rows, index array) of each group of rows (one index or a 1-d index
+    array), in order of its smallest row; all groups are checked in one pass.
+    """
+    groups = list(groups)
+    held = [np.atleast_1d(rows) for rows in groups]
+    if not held:
+        return []
+    if any(idx.ndim != 1 or idx.size == 0 for idx in held) or not all(
+        np.issubdtype(dtype, np.integer) for dtype in {idx.dtype for idx in held}
+    ):
         raise ValueError("rows must be one index or a non-empty 1-d index array")
-    out = idx[(idx < 0) | (idx >= n)]
+    flat = np.concatenate(held)
+    out = flat[(flat < 0) | (flat >= n)]
     if out.size:
         raise IndexError(f"row indices {out.tolist()} out of range for n={n}")
-    if idx.size >= n and np.unique(idx).size == n:
+    if any(idx.size >= n and np.unique(idx).size == n for idx in held):
         raise ValueError("a refit must keep at least one row")
-    return idx
+    sizes = np.array([idx.size for idx in held])
+    smallest = np.minimum.reduceat(flat, np.cumsum(sizes) - sizes)
+    return [(groups[j], held[j]) for j in np.argsort(smallest, kind="stable")]
 
 
 def fit_leave_one_out(data, model, rows, warm=None, opts=None):
@@ -480,15 +502,15 @@ def fit_leave_one_out(data, model, rows, warm=None, opts=None):
     Equivalent to fit() on data.drop_rows(rows); warm-starting at the
     full-data solution typically converges in a handful of steps.
     """
-    idx = _held_out(rows, data.n)
+    [(_, idx)] = _held_out([rows], data.n)
     return fit(data.drop_rows(idx), model, opts, beta0=warm)
 
 
-def _refit_block(data, model, held, keep, B, warm_terms, H_inv, opts):
+def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
     """FitResults of the refits without each index array in held.
 
     Refit j is row j of B (m x p, each row the warm start), fit to the data
-    rows that keep[j] keeps.  warm_terms are the full data's terms at the
+    rows outside held[j].  warm_terms are the full data's terms at the
     warm start (ell, ell', ell'' per row, the objective, its gradient g and
     H^{-1} g); refit j starts from them less those of its own rows, so the
     block never evaluates its warm starts.  Its Newton matrix is
@@ -516,59 +538,68 @@ def _refit_block(data, model, held, keep, B, warm_terms, H_inv, opts):
 
     results = [None] * m
 
-    def hand_over(j, used):
-        """Finish refit j with the damped Newton method in the budget left."""
-        if used == opts.max_iter:
+    def retire(i, used, converged):
+        """Report refit i of the arrays, or finish it by damped Newton."""
+        j = rows[i]
+        if converged or used == opts.max_iter:
             results[j] = FitResult(
-                B[j].copy(), float(obj[j]), float(gnorm[j]), used, False
+                B[i].copy(), float(obj[i]), float(gnorm[i]), used, converged
             )
             return
         left = replace(opts, max_iter=opts.max_iter - used)
-        res = fit_leave_one_out(data, model, held[j], warm=B[j], opts=left)
+        res = fit_leave_one_out(data, model, held[j], warm=B[i], opts=left)
         results[j] = replace(res, iterations=used + res.iterations)
 
     obj = obj_full - np.where(live, values[pad], 0.0).sum(axis=1)
     grad = g_full - np.einsum("akp,ak->ap", Xg, d1g)
     gnorm = np.max(np.abs(grad), axis=1, initial=0.0)
-    # H^{-1} of each starting gradient: H^{-1} g less W_j ell'_j
-    S_start = S_full - np.einsum("akp,ak->ap", Wg, d1g)
-    active = np.arange(m)
+    # H^{-1} of each gradient, at the start H^{-1} g less W_j ell'_j
+    S = S_full - np.einsum("akp,ak->ap", Wg, d1g)
+    # each refit's held-out rows, padded with its first (zeroed twice, harmlessly)
+    drop = np.where(live, pad, pad[:, :1])
+    # refit i of the arrays is refit rows[i] of the block.  It leaves at the
+    # top of an iteration, the one place the arrays shrink: converged,
+    # stalled in the step before (short: without taking it), or out of budget
+    rows = np.arange(m)
+    stalled = short = np.zeros(m, dtype=bool)
     for steps in range(opts.max_iter + 1):
-        done = gnorm[active] <= opts.tol
-        for j in active[done]:
-            results[j] = FitResult(
-                B[j].copy(), float(obj[j]), float(gnorm[j]), steps, True
+        done = gnorm <= opts.tol
+        leave = done | stalled | (steps == opts.max_iter)
+        if np.count_nonzero(leave):
+            for i in np.flatnonzero(leave):
+                retire(i, steps - int(short[i]), bool(done[i]))
+            left = ~leave
+            rows, B, obj, grad, gnorm, S, Xg, Wg, M_inv, curv, drop = (
+                a[left]
+                for a in (rows, B, obj, grad, gnorm, S, Xg, Wg, M_inv, curv, drop)
             )
-        active = active[~done]
-        if not active.size or steps == opts.max_iter:
-            break
-        a = active
-        S = S_start[a] if steps == 0 else grad[a] @ H_inv
-        t = np.einsum("akp,ap->ak", Xg[a], S)
-        u = np.einsum("akl,al->ak", M_inv[a], curv[a] * t)
-        direction = -(S + np.einsum("akp,ak->ap", Wg[a], u))
-        slope = np.einsum("ap,ap->a", grad[a], direction)
-        cand = B[a] + direction
-        loss_sum, loss_grad, _ = _block_loss(model.loss, X, y, cand @ X.T, keep[a])
+            if not rows.size:
+                break
+        if steps:
+            S = grad @ H_inv
+        t = np.einsum("akp,ap->ak", Xg, S)
+        u = np.einsum("akl,al->ak", M_inv, curv * t)
+        direction = -(S + np.einsum("akp,ak->ap", Wg, u))
+        slope = np.einsum("ap,ap->a", grad, direction)
+        cand = B + direction
+        cand_values, cand_d1, _ = _loss_terms(model.loss, y, cand @ X.T)
+        # each refit scores the rows it keeps
+        at = np.arange(rows.size)[:, None], drop
+        cand_values[at], cand_d1[at] = 0.0, 0.0
         rv, rg, _ = reg_eval(model.reg, cand)
-        cand_obj, cand_grad = loss_sum + lam * rv, loss_grad + lam * rg
+        cand_obj = cand_values.sum(axis=1) + lam * rv
+        cand_grad = cand_d1 @ X + lam * rg
         cand_gnorm = np.max(np.abs(cand_grad), axis=1, initial=0.0)
         # as in _fit_newton, a full step that passes the Armijo test is
         # taken; a refit whose step fails it, or that ends the step short
         # of the cut a fresh factor would bring, goes on by damped Newton
-        taken = _armijo_ok(cand_obj, obj[a], slope)
-        stalled = ~taken | (
-            (cand_gnorm > _REFRESH_RATIO * gnorm[a]) & (cand_gnorm > opts.tol)
+        taken = _armijo_ok(cand_obj, obj, slope)
+        short = ~taken
+        stalled = short | (
+            (cand_gnorm > _REFRESH_RATIO * gnorm) & (cand_gnorm > opts.tol)
         )
-        moved = a[taken]
-        B[moved], obj[moved] = cand[taken], cand_obj[taken]
-        grad[moved], gnorm[moved] = cand_grad[taken], cand_gnorm[taken]
-        for j, used in zip(a[stalled], steps + taken[stalled]):
-            hand_over(j, used)
-        active = a[~stalled]
-    # refits still open have used the whole budget
-    for j in active:
-        hand_over(j, opts.max_iter)
+        B[taken], obj[taken] = cand[taken], cand_obj[taken]
+        grad[taken], gnorm[taken] = cand_grad[taken], cand_gnorm[taken]
     return results
 
 
@@ -609,15 +640,16 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
     steps of its hand-over together.  When _batching_pays says no, or when
     the full-data Hessian is singular, each smooth group is refit by
     fit_leave_one_out from warm, in the same order.
-    A chunk of m groups of at most k rows holds O(m (n + k p + k^2))
-    floats besides X: O((n + p) m) for LO, O(n (K + p + n / K)) for K <= m
-    folds.
+    The chunks run in rounds of lanes = min(_LANES, chunks) threads, this one
+    and lanes - 1 helpers; no chunk depends on the lane count, nor does any
+    FitResult, and results (or an exception) come in chunk order.  A chunk
+    of m groups of at most k rows holds O(m (n + k p + k^2)) floats besides
+    X: O((n + p) m) for LO, O(n (K + p + n / K)) for K <= m folds; a round
+    holds lanes chunks.
     """
     opts = opts or SolverOpts()
     warm = _as_coefs(data, model.loss, warm, "warm")
-    order = sorted(
-        ((rows, _held_out(rows, data.n)) for rows in groups), key=lambda g: g[1].min()
-    )
+    order = _held_out(groups, data.n)
     if model.reg.is_smooth:
         factor = None
         if _batching_pays(data.n, data.p, [idx.size for _, idx in order]):
@@ -638,15 +670,31 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
         g_full = d1 @ data.X + model.lam * rg
         obj_full = np.sum(values) + model.lam * rv
         warm_terms = (values, d1, d2, obj_full, g_full, g_full @ H_inv)
-    for start in range(0, len(order), _REFIT_CHUNK):
-        chunk = order[start : start + _REFIT_CHUNK]
+
+    def refit(chunk):
         held = [idx for _, idx in chunk]
-        keep = np.ones((len(held), data.n), dtype=bool)
-        for j, idx in enumerate(held):
-            keep[j, idx] = False
         B = np.tile(warm, (len(held), 1))
         if model.reg.is_smooth:
-            results = _refit_block(data, model, held, keep, B, warm_terms, H_inv, opts)
+            results = _refit_block(data, model, held, B, warm_terms, H_inv, opts)
         else:
+            keep = np.ones((len(held), data.n), dtype=bool)
+            for j, idx in enumerate(held):
+                keep[j, idx] = False
             results = _fista_block(data.X, data.y, model, B, keep, opts)
-        yield from zip((rows for rows, _ in chunk), results)
+        return list(zip((rows for rows, _ in chunk), results))
+
+    chunks = [order[s : s + _REFIT_CHUNK] for s in range(0, len(order), _REFIT_CHUNK)]
+    lanes = max(min(_LANES, len(chunks)), 1)
+    # no helper thread starts before a chunk is submitted, so one lane starts none
+    helpers = ThreadPoolExecutor(max(lanes - 1, 1))
+    try:
+        for first in range(0, len(chunks), lanes):
+            # this thread refits the round's first chunk, the helpers the rest
+            mine, *theirs = chunks[first : first + lanes]
+            ahead = [helpers.submit(refit, chunk) for chunk in theirs]
+            yield from refit(mine)
+            for future in ahead:
+                yield from future.result()
+    finally:
+        # a generator abandoned mid-round drops the chunks no helper has begun
+        helpers.shutdown(cancel_futures=True)

@@ -1,6 +1,9 @@
 import numpy as np
 import pytest
+from scipy.special import expit
 
+from loorisk import datagen
+from loorisk.cli import load_config
 from loorisk.datagen import (
     _DOMAIN_RESPONSE,
     CovSpec,
@@ -236,3 +239,16 @@ def test_sim_config_refuses_what_no_study_can_run(bad, name):
     # a refit keeps at least one row, and every lambda sets a ModelSpec
     with pytest.raises(ValueError, match=name):
         SimConfig(**(dict(ns=(10,), p=5, k=1) | bad))
+
+
+def test_logistic_responses_are_those_drawn_through_expit(monkeypatch):
+    # the numpy sigmoid and scipy's expit may differ in the last bits; no
+    # logistic response of the table2 presets' replicates 0-9 changes with it
+    for preset in ("table2_desk", "table2_full"):
+        config = load_config(preset=preset)[0]
+        for n in config.ns:
+            for rep in range(10):
+                y = gen_replicate(config, n, rep)[2]
+                with monkeypatch.context() as m:
+                    m.setattr(datagen, "_sigmoid", expit)
+                    assert np.array_equal(gen_replicate(config, n, rep)[2], y)

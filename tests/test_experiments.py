@@ -1,4 +1,5 @@
 import math
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 
 import numpy as np
@@ -196,7 +197,7 @@ def test_pool_starts_no_more_workers_than_replicates(monkeypatch):
     pools = []
 
     class RecordingPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer=None):
             pools.append(max_workers)
 
         def __enter__(self):
@@ -213,6 +214,27 @@ def test_pool_starts_no_more_workers_than_replicates(monkeypatch):
     assert pools == [2]
     run_table2(tiny_table2_config(reps=1), TABLE2_MODEL, threads=10_000)
     assert pools == [2]  # one replicate runs serially
+
+
+def lane_count():
+    return solver._LANES
+
+
+def test_pool_workers_refit_on_one_lane(monkeypatch):
+    # the pool is the parallelism: its workers' refit engines run one lane
+    # each, while a serial study's engine keeps every lane
+    monkeypatch.setattr(solver, "_LANES", 2)
+    worker_lanes = []
+
+    class ProbedPool(ProcessPoolExecutor):
+        def __init__(self, *args, **kwargs):
+            super().__init__(*args, **kwargs)
+            worker_lanes.append(self.submit(lane_count))
+
+    monkeypatch.setattr(experiments, "ProcessPoolExecutor", ProbedPool)
+    run_table2(tiny_table2_config(reps=2), TABLE2_MODEL, threads=2)
+    assert [lanes.result(timeout=60) for lanes in worker_lanes] == [1]
+    assert solver._LANES == 2
 
 
 def test_figure1_names_the_replicate_of_a_failing_refit(monkeypatch):

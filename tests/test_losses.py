@@ -1,11 +1,15 @@
+import warnings
+
 import numpy as np
 import pytest
+from scipy.special import expit
 
 from loorisk.losses import (
     FAMILIES,
     LossSpec,
     _loss_terms,
     _loss_value,
+    _sigmoid,
     loss_derivative_bound,
     loss_eval,
 )
@@ -33,6 +37,19 @@ def spec_for(family):
         "negative_binomial": {"shape": 0.7},
     }.get(family, {})
     return LossSpec(family, **kwargs)
+
+
+def test_sigmoid_matches_expit_and_saturates_quietly():
+    z = np.linspace(-800.0, 800.0, 200_001)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        s = _sigmoid(z)
+    reference = expit(z)
+    positive = reference > 0.0
+    error = np.abs(s - reference)[positive] / reference[positive]
+    assert np.max(error) <= 4.0 * np.finfo(float).eps
+    assert np.array_equal(s == 0.0, ~positive)
+    assert (s[0], s[-1], _sigmoid(0.0)) == (0.0, 1.0, 0.5)
 
 
 def test_logistic_at_zero():
