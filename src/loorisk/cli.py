@@ -14,6 +14,7 @@ from __future__ import annotations
 import argparse
 import configparser
 import os
+import shlex
 import sys
 from contextlib import contextmanager
 from dataclasses import replace
@@ -53,11 +54,11 @@ class UsageError(ConfigError):
 
 
 @contextmanager
-def _refused(where, error=ConfigError):
-    """Raise a ValueError from the block as error, prefixed with where."""
+def _refused(where, error=ConfigError, caught=ValueError):
+    """Raise a caught exception from the block as error, prefixed with where."""
     try:
         yield
-    except ValueError as exc:
+    except caught as exc:
         raise error(f"{where}: {exc}") from exc
 
 
@@ -195,24 +196,18 @@ def _first_replicate(args):
     return sim, model, opts, data, cov, full
 
 
-def _manifest_info(args):
-    return {
-        "command": " ".join(sys.argv[1:]) if sys.argv[1:] else args.command,
-        "config_path": getattr(args, "config", None) or getattr(args, "preset", None),
-        "seed": getattr(args, "seed", None),
-    }
-
-
-def _emit(result, args, summary_lines):
+def _emit(result, args, summary_lines, seed=None):
     for line in summary_lines:
         print(line)
     if args.out:
-        paths = write_results(result, args.out, _manifest_info(args))
+        config = getattr(args, "config", None) or getattr(args, "preset", None)
+        info = {"command": shlex.join(args.argv), "config_path": config, "seed": seed}
+        paths = write_results(result, args.out, info)
         print(f"wrote {', '.join(str(p) for p in paths)}")
 
 
 def _cmd_fit(args):
-    *_, result = _first_replicate(args)
+    sim, *_, result = _first_replicate(args)
     _emit(
         result,
         args,
@@ -221,6 +216,7 @@ def _cmd_fit(args):
             f"objective {result.objective:.10g}, "
             f"residual {result.grad_inf_norm:.3e}"
         ],
+        sim.seed,
     )
     return 0
 
@@ -234,7 +230,7 @@ def _cmd_risk(args):
     else:
         with _refused("--k", UsageError):
             report = kfold_cv(data, model, args.k, sim.seed, opts, full_fit=full)
-    _emit(report, args, [f"{report.method} estimate: {report.estimate:.10g}"])
+    _emit(report, args, [f"{report.method} estimate: {report.estimate:.10g}"], sim.seed)
     return 0
 
 
@@ -264,7 +260,7 @@ def _cmd_bounds(args):
 
 
 def _cmd_audit(args):
-    _, model, opts, data, cov, full = _first_replicate(args)
+    sim, model, opts, data, cov, full = _first_replicate(args)
     with _refused("--sample-i", UsageError):
         indices = pick_audit_indices(data.n, args.sample_i)
     loo = dict(refits(data, model, indices, full, opts))
@@ -294,6 +290,7 @@ def _cmd_audit(args):
             f"(t-grid {audit.t_grid_size}, {len(loo)} rows)",
             f"perturbation bound holds on {holds}/{len(perturb)} audited rows",
         ],
+        sim.seed,
     )
     return 0 if holds == len(perturb) else 1
 
@@ -324,7 +321,7 @@ def _cmd_simulate(args):
             f"log-log slope {sf['slope']:.3f} (SE {sf['slope_se']:.3f}), "
             f"adj R^2 {sf['adj_r2']:.3f}"
         )
-    _emit(result, args, lines)
+    _emit(result, args, lines, sim.seed)
     return 0
 
 
@@ -432,11 +429,17 @@ def build_parser():
 
 def main(argv=None):
     parser = build_parser()
+    argv = sys.argv[1:] if argv is None else list(argv)
     try:
         args = parser.parse_args(argv)
     except SystemExit as exc:
         return int(exc.code or 0)
+    args.argv = argv
     try:
+        if getattr(args, "out", None):
+            # before the run, so that an unusable --out fails at once
+            with _refused(f"--out {args.out}", UsageError, OSError):
+                os.makedirs(args.out, exist_ok=True)
         return args.run(args)
     except ConfigError as exc:
         print(f"{exc.kind} error: {exc}", file=sys.stderr)

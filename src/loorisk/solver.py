@@ -12,18 +12,19 @@ out of budget), so the block's arrays shrink in one place.
 
 fit_leave_one_out refits without one row or a set of rows.
 fit_leave_groups_out, the one route for many refits, refits without each of
-many groups of rows, a block of groups at a time.  For l1 and elastic net
-the block is the FISTA block: each refit is one row, masked to its kept
-data rows, with its own step size, momentum and restarts.  For smooth
-penalties (ridge, smoothed elastic net) the full-data Hessian (numpy's
-B^T B, as every penalized Hessian here), factored once, inverted from its
-factor by LAPACK's dpotri and corrected for each group's rows by Woodbury,
-drives a fixed-Hessian Newton iteration on the block that starts from the
-full fit's loss terms less the group's own; like the FISTA block, it retires
-a refit only at the top of an iteration, and a refit that stalls is handed
-to fit_leave_one_out.  Smooth groups so few and large that this setup
-costs more flops than one factorization per group (K-fold with K <= 3 or
-so) are refit one at a time by fit_leave_one_out instead.  The blocks run
+many groups of rows, a block of groups at a time, held out as one index
+array padded to the largest group.  For l1 and elastic net the block is the
+FISTA block: each refit is one row, with its own step size, momentum and
+restarts.  For smooth penalties (ridge, smoothed elastic net) the full-data
+Hessian (numpy's B^T B, as every penalized Hessian here), factored once,
+inverted from its factor by LAPACK's dpotri and corrected for each group's
+rows by Woodbury, drives a fixed-Hessian Newton iteration on the block that
+starts from the full fit's loss terms less the group's own; like the FISTA
+block, it retires a refit only at the top of an iteration, and a refit that
+stalls is handed to fit_leave_one_out.  Smooth groups so few and large that
+this setup costs more flops than one factorization per group (K-fold with
+K <= 3 or so), or with a singular full-data Hessian, are refit one at a time
+by fit_leave_one_out, a block's groups in turn.  Every route runs its blocks
 in parallel lanes, one thread per CPU the process may use, with the same
 bytes for any lane count, in O(lanes x block) floats besides the data.
 """
@@ -209,35 +210,38 @@ def _armijo_ok(cand_obj, obj, slope, t=1.0):
     return (slope < 0.0) & (cand_obj <= obj + _ARMIJO * t * slope + noise)
 
 
-def _sigma_max_gram(X, keep, iters=60):
-    """Largest eigenvalue of X_j^T X_j for each row j of keep.
+def _sigma_max_gram(X, drop, iters=60):
+    """Largest eigenvalue of X_j^T X_j for each row j of drop.
 
-    X_j holds the rows of X that keep[j] (an m x n mask) keeps.  Power
-    iteration from one deterministic start.
+    X_j holds the rows of X outside drop[j] (an m x k index array, as
+    _block_loss takes it).  Power iteration from one deterministic start.
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(X.shape[1])
     v /= np.linalg.norm(v)
-    V = np.tile(v, (keep.shape[0], 1))
-    s = np.zeros(V.shape[0])
+    V = np.tile(v, (drop.shape[0], 1))
     for _ in range(iters):
         Z = V @ X.T
-        W = np.where(keep, Z, 0.0) @ X
+        if drop.size:
+            Z[np.arange(drop.shape[0])[:, None], drop] = 0.0
+        W = Z @ X
         s = np.sqrt((W * W).sum(axis=1))
         # a row whose product vanishes stays at 0
         V = W / np.where(s > 0.0, s, 1.0)[:, None]
     return s
 
 
-def _block_loss(loss, X, y, Z, keep):
+def _block_loss(loss, X, y, Z, drop):
     """Loss sum, gradient and ell'' of each row b_j of an m x p block.
 
     Z = B X^T holds the linear predictors of the block.  Row j is scored on
-    the rows of (X, y) that keep[j] keeps (keep is an m x n mask); ell''
-    comes back for all n rows.
+    the rows of (X, y) outside drop[j] (drop is an m x k index array, k = 0
+    for none), where its terms, ell'' too, are zeroed in place.
     """
     values, d1, d2 = _loss_terms(loss, y, Z)
-    values, d1 = np.where(keep, values, 0.0), np.where(keep, d1, 0.0)
+    if drop.size:
+        at = np.arange(drop.shape[0])[:, None], drop
+        values[at], d1[at], d2[at] = 0.0, 0.0, 0.0
     return values.sum(axis=1), d1 @ X, d2
 
 
@@ -316,24 +320,24 @@ def _momentum(n):
     return w
 
 
-def _fista_block(X, y, model, B, keep, opts):
+def _fista_block(X, y, model, B, drop, opts):
     """FitResults of monotone FISTA from each row of the m x p block B.
 
-    Row j minimizes the loss on the rows of (X, y) that keep[j] keeps (keep
-    is an m x n mask) plus lam * r, with its own step size 1/L, momentum and
-    restarts; the rows run in lockstep, one iteration being a few products
-    with X for the whole block.  A row leaves at the top of an iteration,
-    the one place rows leave the arrays, and reports the iterations it used:
-    converged once its prox-gradient residual |b - prox(b - g/L)| is at most
-    opts.tol; unconverged when its backtracking pushed L past 1e25 in the
-    iteration before, which it ends without an update, or when opts.max_iter
-    iterations are used.
+    Row j minimizes the loss on the rows of (X, y) outside drop[j] (an m x k
+    index array, as _block_loss takes it) plus lam * r, with its own step
+    size 1/L, momentum and restarts; the rows run in lockstep, one iteration
+    being a few products with X for the whole block.  A row leaves at the
+    top of an iteration, the one place rows leave the arrays, and reports
+    the iterations it used: converged once its prox-gradient residual
+    |b - prox(b - g/L)| is at most opts.tol; unconverged when its
+    backtracking pushed L past 1e25 in the iteration before, which it ends
+    without an update, or when opts.max_iter iterations are used.
     """
     lam, reg = model.lam, model.reg
     results = [None] * B.shape[0]
 
-    def smooth(z, kept):
-        return _block_loss(model.loss, X, y, z, kept)[:2]
+    def smooth(z, held):
+        return _block_loss(model.loss, X, y, z, held)[:2]
 
     def steps(L):
         """Step 1/L, prox threshold and shrink, and L/2, per entry.
@@ -356,16 +360,15 @@ def _fista_block(X, y, model, B, keep, opts):
         base, f_base, g_base = yk[sel], fy[sel], gy[sel]
         cand = _prox(base - step * g_base, thresh, shrink)
         zc = cand @ X.T
-        f_cand, g_cand = smooth(zc, keep[sel])
+        f_cand, g_cand = smooth(zc, drop[sel])
         diff = cand - base
         quad = f_base + ((g_base + half_L * diff) * diff).sum(axis=1)
         return cand, zc, f_cand, g_cand, f_cand <= quad + 1e-12 * (1.0 + np.abs(f_base))
 
     rows, x = np.arange(B.shape[0]), B
     zx = x @ X.T
-    fx, gx, d2 = _block_loss(model.loss, X, y, zx, keep)
-    d2max = np.where(keep, d2, 0.0).max(axis=1)
-    L = np.maximum(_sigma_max_gram(X, keep) * np.maximum(d2max, 1e-12), 1e-12)
+    fx, gx, d2 = _block_loss(model.loss, X, y, zx, drop)
+    L = np.maximum(_sigma_max_gram(X, drop) * np.maximum(d2.max(1), 1e-12), 1e-12)
     Fx = fx + lam * reg_value(reg, x)
     step, thresh, shrink, half_L = steps(L)
     res = residual(x, gx, step, thresh, shrink)
@@ -393,7 +396,7 @@ def _fista_block(X, y, model, B, keep, opts):
             rows, x, zx, fx, Fx, gx, yk, fy, gy, k, L, res = (
                 a[left] for a in (rows, x, zx, fx, Fx, gx, yk, fy, gy, k, L, res)
             )
-            keep, failed = keep[left], np.zeros(rows.size, dtype=bool)
+            drop, failed = drop[left], np.zeros(rows.size, dtype=bool)
             if not rows.size:
                 break
             step, thresh, shrink, half_L = steps(L)
@@ -421,7 +424,7 @@ def _fista_block(X, y, model, B, keep, opts):
             res = residual(cand, g_cand, step, thresh, shrink)
             w = momentum[k]
             yk = cand + w * (cand - x)
-            fy, gy = smooth(zc + w * (zc - zx), keep)
+            fy, gy = smooth(zc + w * (zc - zx), drop)
             k = k + 1
             x, zx, fx, Fx, gx = cand, zc, f_cand, F_cand, g_cand
             done = res <= opts.tol
@@ -431,7 +434,7 @@ def _fista_block(X, y, model, B, keep, opts):
             w = momentum[k[a]]
             yk[a] = cand[a] + w * (cand[a] - x[a])
             za = zc[a] + w * (zc[a] - zx[a])
-            fy[a], gy[a] = smooth(za, keep[a])
+            fy[a], gy[a] = smooth(za, drop[a])
             k[a] += 1
             x[a], zx[a], gx[a] = cand[a], zc[a], g_cand[a]
             fx[a], Fx[a] = f_cand[a], F_cand[a]
@@ -469,8 +472,8 @@ def fit(data, model, opts=None, beta0=None):
     beta0 = _as_coefs(data, model.loss, beta0, "beta0")
     if model.reg.is_smooth:
         return _fit_newton(data, model, opts, beta0)
-    keep = np.ones((1, data.n), dtype=bool)
-    return _fista_block(data.X, data.y, model, beta0[None, :], keep, opts)[0]
+    drop = np.empty((1, 0), dtype=int)
+    return _fista_block(data.X, data.y, model, beta0[None, :], drop, opts)[0]
 
 
 def _held_out(groups, n):
@@ -506,6 +509,17 @@ def fit_leave_one_out(data, model, rows, warm=None, opts=None):
     return fit(data.drop_rows(idx), model, opts, beta0=warm)
 
 
+def _held_out_rows(held):
+    """(pad, live, drop) of a block's held-out index arrays, each padded to
+    the largest: pad with row 0, drop with its own first row (which
+    _block_loss zeroes twice, harmlessly); live marks the real entries."""
+    sizes = np.array([idx.size for idx in held])
+    live = np.arange(sizes.max()) < sizes[:, None]
+    pad = np.zeros(live.shape, dtype=int)
+    pad[live] = np.concatenate(held)
+    return pad, live, np.where(live, pad, pad[:, :1])
+
+
 def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
     """FitResults of the refits without each index array in held.
 
@@ -522,14 +536,10 @@ def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
     """
     X, y, lam = data.X, data.y, model.lam
     values, d1, d2, obj_full, g_full, S_full = warm_terms
-    sizes = np.array([idx.size for idx in held])
-    m, k = len(held), sizes.max()
     # held-out rows padded to k per refit; a padding row has no terms, so its
     # row of I - D_j Q_j is the identity and its coefficient stays 0
-    live = np.arange(k) < sizes[:, None]
-    pad = np.zeros((m, k), dtype=int)
-    pad[live] = np.concatenate(held)
-    Xg = X[pad]
+    pad, live, drop = _held_out_rows(held)
+    (m, k), Xg = pad.shape, X[pad]
     curv, d1g = np.where(live, d2[pad], 0.0), np.where(live, d1[pad], 0.0)
 
     Wg = (Xg.reshape(m * k, -1) @ H_inv).reshape(m, k, -1)
@@ -555,8 +565,6 @@ def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
     gnorm = np.max(np.abs(grad), axis=1, initial=0.0)
     # H^{-1} of each gradient, at the start H^{-1} g less W_j ell'_j
     S = S_full - np.einsum("akp,ak->ap", Wg, d1g)
-    # each refit's held-out rows, padded with its first (zeroed twice, harmlessly)
-    drop = np.where(live, pad, pad[:, :1])
     # refit i of the arrays is refit rows[i] of the block.  It leaves at the
     # top of an iteration, the one place the arrays shrink: converged,
     # stalled in the step before (short: without taking it), or out of budget
@@ -582,13 +590,9 @@ def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
         direction = -(S + np.einsum("akp,ak->ap", Wg, u))
         slope = np.einsum("ap,ap->a", grad, direction)
         cand = B + direction
-        cand_values, cand_d1, _ = _loss_terms(model.loss, y, cand @ X.T)
-        # each refit scores the rows it keeps
-        at = np.arange(rows.size)[:, None], drop
-        cand_values[at], cand_d1[at] = 0.0, 0.0
+        cand_loss, cand_grad, _ = _block_loss(model.loss, X, y, cand @ X.T, drop)
         rv, rg, _ = reg_eval(model.reg, cand)
-        cand_obj = cand_values.sum(axis=1) + lam * rv
-        cand_grad = cand_d1 @ X + lam * rg
+        cand_obj, cand_grad = cand_loss + lam * rv, cand_grad + lam * rg
         cand_gnorm = np.max(np.abs(cand_grad), axis=1, initial=0.0)
         # as in _fit_newton, a full step that passes the Armijo test is
         # taken; a refit whose step fails it, or that ends the step short
@@ -624,7 +628,7 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
     warm is the full-data solution, checked as fit checks beta0.  Groups
     (each one index or a 1-d index array) are refit, and yielded as (rows,
     FitResult), in order of their smallest row, _REFIT_CHUNK groups at a
-    time as the rows of one block.
+    time as the rows of one block, held out as one padded index array.
     For l1 and elastic net the block runs the FISTA of fit in lockstep: each
     refit keeps its own step size, momentum and restarts and stops on the
     same prox-gradient residual test, so it agrees with fit_leave_one_out to
@@ -638,49 +642,44 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
     from its current iterate to fit_leave_one_out, whose FitResult it then
     reports.  opts.max_iter caps every refit: its batched steps and the
     steps of its hand-over together.  When _batching_pays says no, or when
-    the full-data Hessian is singular, each smooth group is refit by
-    fit_leave_one_out from warm, in the same order.
-    The chunks run in rounds of lanes = min(_LANES, chunks) threads, this one
-    and lanes - 1 helpers; no chunk depends on the lane count, nor does any
-    FitResult, and results (or an exception) come in chunk order.  A chunk
-    of m groups of at most k rows holds O(m (n + k p + k^2)) floats besides
-    X: O((n + p) m) for LO, O(n (K + p + n / K)) for K <= m folds; a round
-    holds lanes chunks.
+    the full-data Hessian is singular, each smooth group of a chunk is refit
+    by fit_leave_one_out from warm, in turn, on the chunk's lane.
+    The chunks of every route run in rounds of lanes = min(_LANES, chunks)
+    threads, this one and lanes - 1 helpers; no chunk depends on the lane
+    count, nor does any FitResult, and results (or an exception) come in
+    chunk order.  A chunk of m groups of at most k rows holds
+    O(m (n + k p + k^2)) floats besides X: O((n + p) m) for LO,
+    O(n (K + p + n / K)) for K <= m folds; a round holds lanes chunks.
     """
     opts = opts or SolverOpts()
     warm = _as_coefs(data, model.loss, warm, "warm")
     order = _held_out(groups, data.n)
-    if model.reg.is_smooth:
-        factor = None
-        if _batching_pays(data.n, data.p, [idx.size for _, idx in order]):
-            values, d1, d2 = _loss_terms(model.loss, data.y, data.X @ warm)
-            rv, rg, rh = reg_eval(model.reg, warm)
-            try:
-                factor = _hessian_factor(data.X, d2, model.lam * rh)
-            except LinAlgError:
-                log.warning("singular full-data Hessian, refitting one group at a time")
-        if factor is None:
-            for rows, idx in order:
-                yield rows, fit_leave_one_out(data, model, idx, warm=warm, opts=opts)
-            return
-        # one explicit inverse keeps the iterations on numpy's BLAS: numpy and
-        # scipy may each bring their own multi-threaded BLAS, and alternating
-        # between the two costs more than these small products
-        H_inv = _factor_inverse(factor)
-        g_full = d1 @ data.X + model.lam * rg
-        obj_full = np.sum(values) + model.lam * rv
-        warm_terms = (values, d1, d2, obj_full, g_full, g_full @ H_inv)
+    H_inv, sizes = None, [idx.size for _, idx in order]
+    if model.reg.is_smooth and _batching_pays(data.n, data.p, sizes):
+        values, d1, d2 = _loss_terms(model.loss, data.y, data.X @ warm)
+        rv, rg, rh = reg_eval(model.reg, warm)
+        try:
+            # one explicit inverse keeps the iterations on numpy's BLAS: numpy
+            # and scipy may each bring their own multi-threaded BLAS, and
+            # alternating between the two costs more than these small products
+            H_inv = _factor_inverse(_hessian_factor(data.X, d2, model.lam * rh))
+        except LinAlgError:
+            log.warning("singular full-data Hessian, refitting one group at a time")
+        else:
+            g_full = d1 @ data.X + model.lam * rg
+            obj_full = np.sum(values) + model.lam * rv
+            warm_terms = (values, d1, d2, obj_full, g_full, g_full @ H_inv)
 
     def refit(chunk):
         held = [idx for _, idx in chunk]
         B = np.tile(warm, (len(held), 1))
-        if model.reg.is_smooth:
+        if H_inv is not None:
             results = _refit_block(data, model, held, B, warm_terms, H_inv, opts)
+        elif model.reg.is_smooth:
+            results = [fit_leave_one_out(data, model, idx, warm, opts) for idx in held]
         else:
-            keep = np.ones((len(held), data.n), dtype=bool)
-            for j, idx in enumerate(held):
-                keep[j, idx] = False
-            results = _fista_block(data.X, data.y, model, B, keep, opts)
+            drop = _held_out_rows(held)[2]
+            results = _fista_block(data.X, data.y, model, B, drop, opts)
         return list(zip((rows for rows, _ in chunk), results))
 
     chunks = [order[s : s + _REFIT_CHUNK] for s in range(0, len(order), _REFIT_CHUNK)]

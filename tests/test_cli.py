@@ -1,4 +1,5 @@
 import json
+import shlex
 
 import numpy as np
 import pytest
@@ -166,6 +167,47 @@ def test_manifest_digests_verify(lo_cfg, tmp_path):
         digest = hashlib.sha256((out / entry["path"]).read_bytes()).hexdigest()
         assert digest == entry["sha256"]
         assert (out / entry["path"]).stat().st_size == entry["bytes"]
+
+
+@pytest.mark.parametrize("command", ["bounds", "fit"])
+def test_out_naming_a_file_is_a_usage_error_before_the_run(
+    lo_cfg, tmp_path, capsys, command
+):
+    afile = tmp_path / "afile"
+    afile.write_text("")
+    args = {
+        "bounds": ["bounds", "--rho", "1", "--delta", "1", "--lambda", "0.1"],
+        "fit": ["fit", "--config", str(lo_cfg)],
+    }[command]
+    assert main(args + ["--out", str(afile)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: --out {afile}:")
+    # nothing ran: no summary was printed
+    assert captured.out == ""
+
+
+def test_manifest_records_the_arguments_main_parsed(lo_cfg, tmp_path, monkeypatch):
+    monkeypatch.setattr("sys.argv", ["loorisk", "--unrelated", "flag"])
+    out = tmp_path / "a run"
+    args = ["lo", "--config", str(lo_cfg), "--out", str(out)]
+    assert main(args) == 0
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert shlex.split(manifest["command"]) == args
+
+
+@pytest.mark.parametrize(
+    "args, seed",
+    [
+        (["fit", "--preset", "table2_desk"], 7),
+        (["lo", "--preset", "table2_desk", "--seed", "3"], 3),
+        (["bounds", "--rho", "1", "--delta", "1", "--lambda", "0.1"], None),
+    ],
+    ids=["config_seed", "seed_override", "bounds"],
+)
+def test_manifest_records_the_seed_the_run_used(tmp_path, args, seed):
+    out = tmp_path / "run"
+    assert main(args + ["--out", str(out)]) == 0
+    assert json.loads((out / "manifest.json").read_text())["seed"] == seed
 
 
 def test_empty_experiment_writes_header_only(tmp_path):

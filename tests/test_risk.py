@@ -487,11 +487,11 @@ def test_fista_refit_whose_backtracking_fails_leaves_the_block(
     def poison_row_7():
         calls = []
 
-        def poisoned_block_loss(loss, X, y, Z, keep):
-            f, g, d2 = real_block_loss(loss, X, y, Z, keep)
+        def poisoned_block_loss(loss, X, y, Z, drop):
+            f, g, d2 = real_block_loss(loss, X, y, Z, drop)
             calls.append(1)
-            if keep is not None and (np.isnan(poison) or len(calls) > 1):
-                f = np.where(keep[:, 7], f, poison)
+            if drop is not None and (np.isnan(poison) or len(calls) > 1):
+                f = np.where((drop == 7).any(axis=1), poison, f)
             return f, g, d2
 
         monkeypatch.setattr(solver, "_block_loss", poisoned_block_loss)
@@ -775,11 +775,12 @@ def direct_start(data, model, groups, warm):
     """Objective, gradient and first Newton direction of each refit at warm,
     from the tiled warm start scored on its kept rows, times H^{-1}."""
     X, lam, m = data.X, model.lam, len(groups)
-    keep = np.ones((m, data.n), dtype=bool)
+    drop = np.zeros((m, max(len(rows) for rows in groups)), dtype=int)
     for j, rows in enumerate(groups):
-        keep[j, rows] = False
+        drop[j] = rows[0]
+        drop[j, : len(rows)] = rows
     B = np.tile(warm, (m, 1))
-    loss_sum, loss_grad, _ = solver._block_loss(model.loss, X, data.y, B @ X.T, keep)
+    loss_sum, loss_grad, _ = solver._block_loss(model.loss, X, data.y, B @ X.T, drop)
     rv, rg, _ = reg_eval(model.reg, B)
     obj, grad = loss_sum + lam * rv, loss_grad + lam * rg
     d2 = loss_eval(model.loss, data.y, X @ warm)[2]

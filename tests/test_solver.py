@@ -450,11 +450,12 @@ LANE_CASES = {
 
 def run_in_lanes(monkeypatch, lanes, data, model, groups, warm):
     """Each FitResult of the engine on this many lanes, as exact values, with
-    the threads that ran its blocks and the number of hand-overs to fit."""
+    the threads that ran its blocks (or its one-at-a-time refits) and the
+    number of calls to fit."""
     threads, hand_overs = set(), []
     with monkeypatch.context() as m:
         m.setattr(solver, "_LANES", lanes)
-        for name in ("_refit_block", "_fista_block", "fit"):
+        for name in ("_refit_block", "_fista_block", "fit_leave_one_out", "fit"):
             def recording(*args, _real=getattr(solver, name), _name=name, **kwargs):
                 if _name == "fit":
                     hand_overs.append(1)
@@ -491,6 +492,25 @@ def test_lane_count_leaves_every_fit_result_unchanged(monkeypatch, case):
     assert one_hand_overs == two_hand_overs
     if case == "smoothed_elastic_net_lo":
         assert one_hand_overs > 0
+
+
+def test_one_at_a_time_refits_run_on_the_lanes(monkeypatch):
+    # when batching does not pay, each smooth group of a chunk is refit by
+    # fit_leave_one_out; those chunks run on the lanes like the blocks, with
+    # the same FitResults for any lane count
+    data, loss = lane_instance("logistic", 140, 30)
+    model = ModelSpec(loss, RegSpec("ridge"), lam=1.0)
+    warm = fit(data, model).beta_hat
+    monkeypatch.setattr(solver, "_batching_pays", lambda *args: False)
+    groups = range(data.n)
+    one, one_threads, one_fits = run_in_lanes(monkeypatch, 1, data, model, groups, warm)
+    two, two_threads, two_fits = run_in_lanes(monkeypatch, 2, data, model, groups, warm)
+    assert len(one) == data.n > solver._REFIT_CHUNK
+    assert (len(one_threads), len(two_threads)) == (1, 2)
+    assert one == two
+    assert one_fits == two_fits == data.n
+    alone = fit_leave_one_out(data, model, 0, warm=warm)
+    assert one[0][1] == alone.beta_hat.tobytes()
 
 
 def test_a_helper_lane_error_surfaces_unchanged_in_chunk_order(monkeypatch):
