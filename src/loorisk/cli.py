@@ -16,9 +16,10 @@ import configparser
 import os
 import shlex
 import sys
-from contextlib import contextmanager
+from contextlib import contextmanager, suppress
 from dataclasses import replace
 from importlib import resources
+from pathlib import Path
 
 import numpy as np
 
@@ -435,11 +436,15 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     args.argv = argv
+    out = getattr(args, "out", None)
+    path = Path(out or os.curdir).absolute()
+    # the --out levels this run creates, deepest first, removed if left empty
+    created = [level for level in (path, *path.parents) if not level.exists()]
     try:
-        if getattr(args, "out", None):
+        if out:
             # before the run, so that an unusable --out fails at once
-            with _refused(f"--out {args.out}", UsageError, OSError):
-                os.makedirs(args.out, exist_ok=True)
+            with _refused(f"--out {out}", UsageError, OSError):
+                os.makedirs(out, exist_ok=True)
         return args.run(args)
     except ConfigError as exc:
         print(f"{exc.kind} error: {exc}", file=sys.stderr)
@@ -447,6 +452,10 @@ def main(argv=None):
     except (SolverError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
+    finally:
+        with suppress(OSError):
+            for level in created:
+                level.rmdir()
 
 
 if __name__ == "__main__":

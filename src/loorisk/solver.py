@@ -10,23 +10,24 @@ block of fits run in lockstep; fit is its one-row case.  A row leaves the
 block only at the top of an iteration (converged, backtracking failed, or
 out of budget), so the block's arrays shrink in one place.
 
-fit_leave_one_out refits without one row or a set of rows.
-fit_leave_groups_out, the one route for many refits, refits without each of
-many groups of rows, a block of groups at a time, held out as one index
-array padded to the largest group.  For l1 and elastic net the block is the
-FISTA block: each refit is one row, with its own step size, momentum and
-restarts.  For smooth penalties (ridge, smoothed elastic net) the full-data
-Hessian (numpy's B^T B, as every penalized Hessian here), factored once,
-inverted from its factor by LAPACK's dpotri and corrected for each group's
-rows by Woodbury, drives a fixed-Hessian Newton iteration on the block that
-starts from the full fit's loss terms less the group's own; like the FISTA
-block, it retires a refit only at the top of an iteration, and a refit that
-stalls is handed to fit_leave_one_out.  Smooth groups so few and large that
-this setup costs more flops than one factorization per group (K-fold with
-K <= 3 or so), or with a singular full-data Hessian, are refit one at a time
-by fit_leave_one_out, a block's groups in turn.  Every route runs its blocks
-in parallel lanes, one thread per CPU the process may use, with the same
-bytes for any lane count, in O(lanes x block) floats besides the data.
+fit_leave_one_out refits without one row or a set of rows, the reference of
+fit_leave_groups_out, the one route for many refits, which refits without
+each of many groups of rows, a block of groups at a time, held out as one
+index array padded to the largest group.  For l1 and elastic net the block
+is the FISTA block: each refit is one row, with its own step size, momentum
+and restarts.  For smooth penalties (ridge, smoothed elastic net) the
+full-data Hessian (numpy's B^T B, as every penalized Hessian here), factored
+once, inverted from its factor by LAPACK's dpotri and corrected for each
+group's rows by Woodbury, drives a fixed-Hessian Newton iteration on the
+block that starts from the full fit's loss terms less the group's own; like
+the FISTA block, it retires a refit only at the top of an iteration, and a
+refit that stalls resumes damped Newton with the iterations it has used.
+Smooth groups so few and large that this setup costs more flops than one
+factorization per group (K-fold with K <= 3 or so), or with a singular
+full-data Hessian, are refit one at a time by damped Newton, a block's
+groups in turn.  Every route runs its blocks in parallel lanes, one thread
+per CPU the process may use, with the same bytes for any lane count, in
+O(lanes x block) floats besides the data.
 """
 
 from __future__ import annotations
@@ -35,7 +36,7 @@ import logging
 import math
 import os
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -158,9 +159,9 @@ class FitResult:
 def objective(data, model, beta):
     """Penalized objective sum_i ell(y_i | x_i beta) + lam * r(beta).
 
-    Unchecked: data.y must lie in the loss domain (fit checks it).
+    Checked as fit checks beta0, with a ValueError that names beta.
     """
-    beta = np.asarray(beta, dtype=float)
+    beta = _as_coefs(data, model.loss, beta, "beta")
     values = _loss_value(model.loss, data.y, data.X @ beta)
     return float(np.sum(values) + model.lam * reg_value(model.reg, beta))
 
@@ -245,29 +246,29 @@ def _block_loss(loss, X, y, Z, drop):
     return values.sum(axis=1), d1 @ X, d2
 
 
-def _fit_newton(data, model, opts, beta0):
-    X, y, lam = data.X, data.y, model.lam
-    beta = beta0
+def _terms(data, model, b):
+    """Objective, gradient, ell, ell', ell'' per row and r'' at b."""
+    values, d1, d2 = _loss_terms(model.loss, data.y, data.X @ b)
+    rv, rg, rh = reg_eval(model.reg, b)
+    obj = float(np.sum(values) + model.lam * rv)
+    grad = data.X.T @ d1 + model.lam * rg
+    return obj, grad, values, d1, d2, rh
 
-    def evaluate(b):
-        values, d1, d2 = _loss_terms(model.loss, y, X @ b)
-        rv, rg, rh = reg_eval(model.reg, b)
-        obj = float(np.sum(values) + lam * rv)
-        grad = X.T @ d1 + lam * rg
-        return obj, grad, d2, rh
 
-    obj, grad, d2, rh = evaluate(beta)
+def _fit_newton(data, model, opts, beta, used=0):
+    """Damped Newton from beta, its iterations counted from used."""
+    obj, grad, _, _, d2, rh = _terms(data, model, beta)
     gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
     factor = None
     singular = False
 
-    for it in range(opts.max_iter):
+    for it in range(used, opts.max_iter):
         if gnorm <= opts.tol:
             return FitResult(beta, obj, gnorm, it, True)
         stale = factor is not None
         if factor is None:
             try:
-                factor = _hessian_factor(X, d2, lam * rh)
+                factor = _hessian_factor(data.X, d2, model.lam * rh)
             except LinAlgError:
                 if not singular:
                     log.warning("singular Newton system, falling back to gradient step")
@@ -283,18 +284,18 @@ def _fit_newton(data, model, opts, beta0):
 
         t = 1.0
         cand = beta + direction
-        terms = evaluate(cand)
+        terms = _terms(data, model, cand)
         while not _armijo_ok(terms[0], obj, slope, t) and t >= _MIN_STEP:
             t *= _LINE_SEARCH_SHRINK
             cand = beta + t * direction
-            terms = evaluate(cand)
+            terms = _terms(data, model, cand)
         if t < _MIN_STEP:
             if stale:
                 factor = None  # retry from a fresh Hessian at the current point
                 continue
             return FitResult(beta, obj, gnorm, it, False)
 
-        beta, (obj, grad, d2, rh) = cand, terms
+        beta, (obj, grad, _, _, d2, rh) = cand, terms
         new_gnorm = float(np.max(np.abs(grad))) if grad.size else 0.0
         if t < 1.0 or new_gnorm > _REFRESH_RATIO * gnorm:
             factor = None
@@ -385,9 +386,7 @@ def _fista_block(X, y, model, B, drop, opts):
     # failed marks the rows whose backtracking gave up; they all leave next
     done, failed = res <= opts.tol, np.zeros(rows.size, dtype=bool)
     for used in range(opts.max_iter + 1):
-        leave = done | failed
-        if used == opts.max_iter:
-            leave = np.ones(rows.size, dtype=bool)
+        leave = done | failed | (used == opts.max_iter)
         if np.count_nonzero(leave):
             out = zip(rows[leave], x[leave], Fx[leave], res[leave], done[leave])
             for j, bj, Fj, rj, cj in out:
@@ -427,7 +426,6 @@ def _fista_block(X, y, model, B, drop, opts):
             fy, gy = smooth(zc + w * (zc - zx), drop)
             k = k + 1
             x, zx, fx, Fx, gx = cand, zc, f_cand, F_cand, g_cand
-            done = res <= opts.tol
         else:
             a, r = np.flatnonzero(accept), np.flatnonzero(~accept)
             res[a] = residual(cand[a], g_cand[a], step[a], thresh[a], shrink[a])
@@ -439,8 +437,7 @@ def _fista_block(X, y, model, B, drop, opts):
             x[a], zx[a], gx[a] = cand[a], zc[a], g_cand[a]
             fx[a], Fx[a] = f_cand[a], F_cand[a]
             yk[r], fy[r], gy[r], k[r] = x[r], fx[r], gx[r], 0
-            done = np.zeros(rows.size, dtype=bool)
-            done[a] = res[a] <= opts.tol
+        done = res <= opts.tol  # a row that kept x kept its residual, above tol
     return results
 
 
@@ -533,6 +530,7 @@ def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
     Woodbury
         H_j^{-1} g = H^{-1} g + W_j (I - D_j Q_j)^{-1} D_j X_j H^{-1} g
     with W_j = H^{-1} X_j^T and Q_j = X_j W_j, which never divides by ell''.
+    A stalled refit resumes _fit_newton with the iterations it has used.
     """
     X, y, lam = data.X, data.y, model.lam
     values, d1, d2, obj_full, g_full, S_full = warm_terms
@@ -549,16 +547,11 @@ def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
     results = [None] * m
 
     def retire(i, used, converged):
-        """Report refit i of the arrays, or finish it by damped Newton."""
-        j = rows[i]
+        """Refit i of the arrays as it stands, or resumed by damped Newton."""
+        beta = B[i].copy()
         if converged or used == opts.max_iter:
-            results[j] = FitResult(
-                B[i].copy(), float(obj[i]), float(gnorm[i]), used, converged
-            )
-            return
-        left = replace(opts, max_iter=opts.max_iter - used)
-        res = fit_leave_one_out(data, model, held[j], warm=B[i], opts=left)
-        results[j] = replace(res, iterations=used + res.iterations)
+            return FitResult(beta, float(obj[i]), float(gnorm[i]), used, converged)
+        return _fit_newton(data.drop_rows(held[rows[i]]), model, opts, beta, used)
 
     obj = obj_full - np.where(live, values[pad], 0.0).sum(axis=1)
     grad = g_full - np.einsum("akp,ak->ap", Xg, d1g)
@@ -575,7 +568,7 @@ def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
         leave = done | stalled | (steps == opts.max_iter)
         if np.count_nonzero(leave):
             for i in np.flatnonzero(leave):
-                retire(i, steps - int(short[i]), bool(done[i]))
+                results[rows[i]] = retire(i, steps - int(short[i]), bool(done[i]))
             left = ~leave
             rows, B, obj, grad, gnorm, S, Xg, Wg, M_inv, curv, drop = (
                 a[left]
@@ -596,7 +589,7 @@ def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
         cand_gnorm = np.max(np.abs(cand_grad), axis=1, initial=0.0)
         # as in _fit_newton, a full step that passes the Armijo test is
         # taken; a refit whose step fails it, or that ends the step short
-        # of the cut a fresh factor would bring, goes on by damped Newton
+        # of the cut a fresh factor would bring, resumes _fit_newton
         taken = _armijo_ok(cand_obj, obj, slope)
         short = ~taken
         stalled = short | (
@@ -638,12 +631,12 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
     matrix of the block.  A refit converges when the gradient sup-norm of
     its own objective is at most opts.tol.  A full step that passes the
     Armijo test of the damped Newton method is taken; a refit whose step
-    fails that test, or does not cut that norm by _REFRESH_RATIO, is handed
-    from its current iterate to fit_leave_one_out, whose FitResult it then
-    reports.  opts.max_iter caps every refit: its batched steps and the
-    steps of its hand-over together.  When _batching_pays says no, or when
-    the full-data Hessian is singular, each smooth group of a chunk is refit
-    by fit_leave_one_out from warm, in turn, on the chunk's lane.
+    fails that test, or does not cut that norm by _REFRESH_RATIO, resumes
+    damped Newton from its iterate with the iterations it has used.
+    opts.max_iter caps every refit: its batched and damped Newton steps
+    together.  When _batching_pays says no, or when the full-data Hessian is
+    singular, each smooth group of a chunk is refit by damped Newton from
+    warm, in turn, on the chunk's lane, as fit_leave_one_out refits it.
     The chunks of every route run in rounds of lanes = min(_LANES, chunks)
     threads, this one and lanes - 1 helpers; no chunk depends on the lane
     count, nor does any FitResult, and results (or an exception) come in
@@ -656,8 +649,7 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
     order = _held_out(groups, data.n)
     H_inv, sizes = None, [idx.size for _, idx in order]
     if model.reg.is_smooth and _batching_pays(data.n, data.p, sizes):
-        values, d1, d2 = _loss_terms(model.loss, data.y, data.X @ warm)
-        rv, rg, rh = reg_eval(model.reg, warm)
+        obj_full, g_full, values, d1, d2, rh = _terms(data, model, warm)
         try:
             # one explicit inverse keeps the iterations on numpy's BLAS: numpy
             # and scipy may each bring their own multi-threaded BLAS, and
@@ -666,8 +658,6 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
         except LinAlgError:
             log.warning("singular full-data Hessian, refitting one group at a time")
         else:
-            g_full = d1 @ data.X + model.lam * rg
-            obj_full = np.sum(values) + model.lam * rv
             warm_terms = (values, d1, d2, obj_full, g_full, g_full @ H_inv)
 
     def refit(chunk):
@@ -676,7 +666,8 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
         if H_inv is not None:
             results = _refit_block(data, model, held, B, warm_terms, H_inv, opts)
         elif model.reg.is_smooth:
-            results = [fit_leave_one_out(data, model, idx, warm, opts) for idx in held]
+            kept = (data.drop_rows(idx) for idx in held)
+            results = [_fit_newton(sub, model, opts, warm.copy()) for sub in kept]
         else:
             drop = _held_out_rows(held)[2]
             results = _fista_block(data.X, data.y, model, B, drop, opts)

@@ -186,6 +186,21 @@ def test_out_naming_a_file_is_a_usage_error_before_the_run(
     assert captured.out == ""
 
 
+def test_a_failed_run_removes_the_out_levels_it_created(tmp_path):
+    out = tmp_path / "x" / "a" / "b"
+    args = ["fit", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]
+    assert main(args) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_failed_run_keeps_an_out_directory_that_existed(tmp_path):
+    out = tmp_path / "out"
+    out.mkdir()
+    args = ["fit", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]
+    assert main(args) == 2
+    assert out.is_dir() and list(out.iterdir()) == []
+
+
 def test_manifest_records_the_arguments_main_parsed(lo_cfg, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.argv", ["loorisk", "--unrelated", "flag"])
     out = tmp_path / "a run"

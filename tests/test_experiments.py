@@ -288,14 +288,15 @@ def test_studies_refuse_a_loss_their_oracle_cannot_score(runner, config, model):
 
 @pytest.mark.parametrize("k_folds", [(3, 40), (1,)], ids=["K_above_n", "K_below_2"])
 def test_figure1_refuses_folds_that_cannot_exist(monkeypatch, k_folds):
+    # figure1's elastic-net fits and refits all run in the FISTA block
     calls = []
-    real_fit = solver.fit
+    real_block = solver._fista_block
 
-    def counting_fit(*args, **kwargs):
+    def counting_block(*args, **kwargs):
         calls.append(1)
-        return real_fit(*args, **kwargs)
+        return real_block(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "fit", counting_fit)
+    monkeypatch.setattr(solver, "_fista_block", counting_block)
     config = tiny_figure1_config(ns=(12,), k_folds=k_folds)
     with pytest.raises(ValueError, match="2 <= K <= n"):
         run_figure1(config, FIGURE1_MODEL)

@@ -417,13 +417,14 @@ def test_kfold_reuses_a_given_full_fit(model, instance, opts):
 def test_nan_newton_candidate_is_never_accepted(monkeypatch):
     # the loss kernels turn NaN at every point the refit without row 3
     # tries after its warm start: the batched Armijo test rejects its first
-    # step and hands it to fit, whose line search must reject each point,
-    # so the refit stops unconverged at the warm start and LO names the row
+    # step and hands it to _fit_newton, whose line search must reject each
+    # point, so the refit stops unconverged at the warm start and LO names
+    # the row
     data = seeded_ridge_instance(8, 3, seed=14)
     full = fit(data, RIDGE_SQ)
     kept = np.delete(data.y, 3)
     real_terms, real_value = solver._loss_terms, solver._loss_value
-    real_fit = solver.fit
+    real_newton = solver._fit_newton
     batched_calls, poisoned_calls, refit_results = [], [], []
 
     def poison_refit(y, z, value):
@@ -450,13 +451,13 @@ def test_nan_newton_candidate_is_never_accepted(monkeypatch):
         # scores its candidates by _loss_terms, poisoned above
         return poison_refit(y, z, real_value(spec, y, z))
 
-    def recording_fit(data, model, opts=None, beta0=None):
-        refit_results.append(real_fit(data, model, opts, beta0))
+    def recording_newton(*args):
+        refit_results.append(real_newton(*args))
         return refit_results[-1]
 
     monkeypatch.setattr(solver, "_loss_terms", poisoned_terms)
     monkeypatch.setattr(solver, "_loss_value", poisoned_value)
-    monkeypatch.setattr(solver, "fit", recording_fit)
+    monkeypatch.setattr(solver, "_fit_newton", recording_newton)
     with pytest.raises(SolverError, match=r"rows \[3\] did not converge"):
         lo_exact(data, RIDGE_SQ, full_fit=full)
     assert batched_calls[0].shape[0] == 8
@@ -563,16 +564,16 @@ def test_batched_refits_equal_sequential_refits(monkeypatch, family, reg):
     full = fit(data, model)
     labels = fold_assignments(data.n, 5, seed=8)
     folds = [np.flatnonzero(labels == fold) for fold in range(5)]
-    real_fit, hand_overs = solver.fit, []
+    real_newton, hand_overs = solver._fit_newton, []
 
-    def counting_fit(*args, **kwargs):
+    def counting_newton(*args, **kwargs):
         hand_overs.append(1)
-        return real_fit(*args, **kwargs)
+        return real_newton(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "fit", counting_fit)
+    monkeypatch.setattr(solver, "_fit_newton", counting_newton)
     lo = lo_exact(data, model, full_fit=full)
     cv = kfold_cv(data, model, K=5, seed=8, full_fit=full)
-    monkeypatch.setattr(solver, "fit", real_fit)
+    monkeypatch.setattr(solver, "_fit_newton", real_newton)
 
     expected_lo = sequential_per_sample(data, model, range(data.n), full)
     expected_cv = sequential_per_sample(data, model, folds, full)
@@ -583,7 +584,7 @@ def test_batched_refits_equal_sequential_refits(monkeypatch, family, reg):
         assert np.any(d2 == 0.0)
     if (family, reg) == ("squared", "smoothed_elastic_net"):
         # the sharp absolute-value surrogate moves the Hessian too far for
-        # some refits, which must then stall and go through fit
+        # some refits, which must then stall and go through _fit_newton
         assert len(hand_overs) > 0
 
 
@@ -746,17 +747,17 @@ def test_alo_is_the_first_step_of_the_refit_engine(monkeypatch, loss, reg, n, p)
     model = ModelSpec(loss_spec, SMOOTH_REGS[reg], lam=0.1)
     full = fit(data, model, SolverOpts(tol=1e-12))
     assert full.converged
-    real_fit, hand_overs = solver.fit, []
+    real_newton, hand_overs = solver._fit_newton, []
 
-    def counting_fit(*args, **kwargs):
+    def counting_newton(*args, **kwargs):
         hand_overs.append(1)
-        return real_fit(*args, **kwargs)
+        return real_newton(*args, **kwargs)
 
-    monkeypatch.setattr(solver, "fit", counting_fit)
+    monkeypatch.setattr(solver, "_fit_newton", counting_newton)
     one_step = SolverOpts(max_iter=1)
     refit = fit_leave_groups_out(data, model, range(n), full.beta_hat, one_step)
     z_step = np.array([data.X[i] @ res.beta_hat for i, res in refit])
-    monkeypatch.setattr(solver, "fit", real_fit)
+    monkeypatch.setattr(solver, "_fit_newton", real_newton)
     assert hand_overs == []
 
     report = alo(data, model, full)
@@ -815,17 +816,17 @@ def test_refits_start_from_the_full_fit_terms(monkeypatch, family, reg, groups):
         groups = sorted(folds, key=lambda rows: rows[0])
         assert len({rows.size for rows in groups}) == 2
     obj, grad, direction = direct_start(data, model, groups, full.beta_hat)
-    real_fit, hand_overs = solver.fit, []
+    real_newton, hand_overs = solver._fit_newton, []
 
-    def counting_fit(*args, **kwargs):
+    def counting_newton(*args, **kwargs):
         hand_overs.append(1)
-        return real_fit(*args, **kwargs)
+        return real_newton(*args, **kwargs)
 
     def refit(opts):
         results = fit_leave_groups_out(data, model, groups, full.beta_hat, opts)
         return [res for _, res in results]
 
-    monkeypatch.setattr(solver, "fit", counting_fit)
+    monkeypatch.setattr(solver, "_fit_newton", counting_newton)
     # a tolerance every start meets reports the start itself
     at_start = refit(SolverOpts(tol=1e300))
     one_step = refit(SolverOpts(tol=1e-300, max_iter=1))

@@ -2,6 +2,7 @@ import threading
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from loorisk import solver
 from loorisk.datagen import CovSpec, gen_beta_star, gen_design, gen_response
@@ -352,6 +353,21 @@ def test_fit_checks_its_input_before_iterating(monkeypatch):
     assert calls == []
 
 
+@pytest.mark.parametrize(
+    "y, beta, message",
+    [
+        ([0.0, 2.0], [0.0, 0.0], "responses in"),
+        ([0.0, 1.0], [0.0], r"beta has shape \(1,\)"),
+        ([0.0, 1.0], [0.0, np.nan], "non-finite beta"),
+    ],
+    ids=["response_off_domain", "short_beta", "nan_beta"],
+)
+def test_objective_checks_its_input_as_fit_does(y, beta, message):
+    data = Dataset(np.eye(2), np.array(y))
+    with pytest.raises(ValueError, match=message):
+        objective(data, logistic_ridge_model(1.0), beta)
+
+
 def test_singular_newton_system_is_logged_once_per_fit(caplog):
     # separable, p > n, and a penalty whose curvature vanishes away from 0:
     # the Hessian is singular at almost every iterate, and one fit warns once
@@ -448,27 +464,31 @@ LANE_CASES = {
 }
 
 
+def exact(rows, res):
+    """The rows of a refit and its FitResult as exact values."""
+    return (
+        np.atleast_1d(rows).tolist(), res.beta_hat.tobytes(), res.objective,
+        res.grad_inf_norm, res.iterations, res.converged,
+    )
+
+
 def run_in_lanes(monkeypatch, lanes, data, model, groups, warm):
     """Each FitResult of the engine on this many lanes, as exact values, with
     the threads that ran its blocks (or its one-at-a-time refits) and the
-    number of calls to fit."""
+    number of calls to _fit_newton."""
     threads, hand_overs = set(), []
     with monkeypatch.context() as m:
         m.setattr(solver, "_LANES", lanes)
-        for name in ("_refit_block", "_fista_block", "fit_leave_one_out", "fit"):
+        for name in ("_refit_block", "_fista_block", "_fit_newton"):
             def recording(*args, _real=getattr(solver, name), _name=name, **kwargs):
-                if _name == "fit":
+                if _name == "_fit_newton":
                     hand_overs.append(1)
-                else:
-                    threads.add(threading.get_ident())
+                threads.add(threading.get_ident())
                 return _real(*args, **kwargs)
 
             m.setattr(solver, name, recording)
         results = [
-            (
-                np.atleast_1d(rows).tolist(), res.beta_hat.tobytes(), res.objective,
-                res.grad_inf_norm, res.iterations, res.converged,
-            )
+            exact(rows, res)
             for rows, res in fit_leave_groups_out(data, model, groups, warm)
         ]
     return results, threads, len(hand_overs)
@@ -496,7 +516,7 @@ def test_lane_count_leaves_every_fit_result_unchanged(monkeypatch, case):
 
 def test_one_at_a_time_refits_run_on_the_lanes(monkeypatch):
     # when batching does not pay, each smooth group of a chunk is refit by
-    # fit_leave_one_out; those chunks run on the lanes like the blocks, with
+    # _fit_newton; those chunks run on the lanes like the blocks, with
     # the same FitResults for any lane count
     data, loss = lane_instance("logistic", 140, 30)
     model = ModelSpec(loss, RegSpec("ridge"), lam=1.0)
@@ -511,6 +531,48 @@ def test_one_at_a_time_refits_run_on_the_lanes(monkeypatch):
     assert one_fits == two_fits == data.n
     alone = fit_leave_one_out(data, model, 0, warm=warm)
     assert one[0][1] == alone.beta_hat.tobytes()
+
+
+@pytest.mark.parametrize("case", ["stalled_lo", "two_folds", "singular_lo"])
+def test_the_engine_runs_without_its_reference(monkeypatch, case):
+    # fit_leave_one_out is the reference the engine is compared against, so
+    # no route of the engine calls it: with it broken, refits that stall and
+    # resume _fit_newton, two large folds refit one at a time, and LO on a
+    # singular full-data Hessian all converge, the last two bit for bit as
+    # the reference
+    family, n, p, reg = {
+        "stalled_lo": LANE_CASES["smoothed_elastic_net_lo"][:4],
+        "two_folds": ("logistic", 140, 30, RegSpec("ridge")),
+        "singular_lo": ("logistic", 140, 30, RegSpec("ridge")),
+    }[case]
+    data, loss = lane_instance(family, n, p)
+    model = ModelSpec(loss, reg, lam=1.0)
+    warm = fit(data, model).beta_hat
+    groups = range(n)
+    if case == "two_folds":
+        labels = fold_assignments(n, 2, seed=5)
+        groups = [np.flatnonzero(labels == fold) for fold in range(2)]
+
+    def broken(*args, **kwargs):
+        raise AssertionError("the engine called fit_leave_one_out")
+
+    def singular(factor):
+        raise LinAlgError("singular")
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "fit_leave_one_out", broken)
+        if case == "singular_lo":
+            m.setattr(solver, "_factor_inverse", singular)
+        results, _, newton_calls = run_in_lanes(m, 2, data, model, groups, warm)
+    assert len(results) == len(groups)
+    assert all(converged for *_, converged in results)
+    if case == "stalled_lo":
+        assert newton_calls > 0
+    else:
+        assert results == [
+            exact(rows, fit_leave_one_out(data, model, rows, warm=warm))
+            for rows in groups
+        ]
 
 
 def test_a_helper_lane_error_surfaces_unchanged_in_chunk_order(monkeypatch):
