@@ -299,10 +299,8 @@ def _cmd_audit(args):
 def _cmd_simulate(args):
     sim, model, opts = load_config(args.config, args.preset)
     sim, opts = _apply_overrides(args, sim, opts)
-    try:
+    with _refused(f"simulate {args.study}"):
         check_study(args.study, sim, model)
-    except ValueError as exc:
-        raise ConfigError(str(exc)) from exc
     result = _run_study(args.study, sim, model, opts, _threads(args))
     lines = []
     for row in result.rows:
@@ -453,8 +451,8 @@ def main(argv=None):
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
     finally:
-        with suppress(OSError):
-            for level in created:
+        for level in created:
+            with suppress(OSError):
                 level.rmdir()
 
 

@@ -55,8 +55,8 @@ class CovSpec:
 
     def __post_init__(self):
         if self.kind == "scaled_identity":
-            if not self.scale > 0:
-                raise ValueError("scale must be positive")
+            if not 0 < self.scale < np.inf:
+                raise ValueError("scale must be positive and finite")
         elif self.kind == "matrix":
             if self.matrix is None:
                 raise ValueError("matrix kind requires an explicit matrix")
@@ -176,8 +176,8 @@ def _response(z, family, rng, noise_var=None, shape=None):
     call on all of z would; negative_binomial, all gammas first, excepted.
     """
     if family == "linear":
-        if noise_var is None or noise_var < 0:
-            raise ValueError("linear family requires noise_var >= 0")
+        if noise_var is None or not 0 <= noise_var < np.inf:
+            raise ValueError("linear family requires 0 <= noise_var < inf")
         return z + np.sqrt(noise_var) * rng.standard_normal(z.shape[0])
     if family == "logistic":
         return (rng.random(z.shape[0]) < _sigmoid(z)).astype(float)
@@ -225,8 +225,8 @@ class SimConfig:
             object.__setattr__(self, "k_folds", k_folds)
         if self.lambdas is not None:
             lambdas = tuple(float(v) for v in self.lambdas)
-            if not all(v > 0 for v in lambdas):
-                raise ValueError(f"lambdas = {lambdas}: every lambda must be positive")
+            if not all(0 < v < np.inf for v in lambdas):
+                raise ValueError(f"lambdas = {lambdas}: not all positive and finite")
             object.__setattr__(self, "lambdas", lambdas)
         for name in ("p", "k"):
             if getattr(self, name) is not None:
@@ -268,8 +268,10 @@ class SimConfig:
             return CovSpec("scaled_identity", 1.0 / n)
         if self.sigma.startswith("scale:"):
             scale = _spec_number("sigma", self.sigma)
-            if not scale > 0:
-                raise ValueError(f"sigma = {self.sigma!r}: scale must be positive")
+            if not 0 < scale < np.inf:
+                raise ValueError(
+                    f"sigma = {self.sigma!r}: scale must be positive and finite"
+                )
             return CovSpec("scaled_identity", scale)
         raise ValueError(f"unknown sigma spec {self.sigma!r}")
 

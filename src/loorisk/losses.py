@@ -54,8 +54,8 @@ class LossSpec:
         for name in ("huber_scale", "smooth_scale", "shape"):
             value = getattr(self, name)
             if required.get(self.family) == name:
-                if value is None or not value > 0:
-                    raise ValueError(f"{self.family} requires {name} > 0")
+                if value is None or not 0 < value < np.inf:
+                    raise ValueError(f"{self.family} requires 0 < {name} < inf")
             elif value is not None:
                 raise ValueError(f"{name} is not a parameter of {self.family}")
 

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .losses import _softplus
+from .losses import LossSpec, _loss_terms
 
 FAMILIES = ("ridge", "smoothed_elastic_net", "l1", "elastic_net")
 SMOOTH_FAMILIES = ("ridge", "smoothed_elastic_net")
@@ -42,8 +42,9 @@ class RegSpec:
         elif self.mix is not None:
             raise ValueError(f"mix is not a parameter of {self.family}")
         if self.family == "smoothed_elastic_net":
-            if self.smooth_sharpness is None or not self.smooth_sharpness > 0:
-                raise ValueError("smoothed_elastic_net requires smooth_sharpness > 0")
+            sharpness = self.smooth_sharpness
+            if sharpness is None or not 0 < sharpness < np.inf:
+                raise ValueError(f"{self.family} requires 0 < smooth_sharpness < inf")
         elif self.smooth_sharpness is not None:
             raise ValueError(f"smooth_sharpness is not a parameter of {self.family}")
 
@@ -52,25 +53,18 @@ class RegSpec:
         return self.family in SMOOTH_FAMILIES
 
 
-def _smooth_abs_parts(beta, sharpness):
-    # softplus surrogate of |b|: value, first and second derivative
-    ab = sharpness * beta
-    value = (_softplus(ab) + _softplus(-ab)) / sharpness
-    t = np.tanh(0.5 * ab)
-    return value, t, 0.5 * sharpness * (1.0 - t * t)
-
-
 def _dot(a, b):
     # a @ b for vectors; the row-wise products for m x p blocks
     return a @ b if a.ndim == 1 else (a * b).sum(axis=1)
 
 
 def _smoothed_enet_value(spec, beta):
-    # value of each row, with the surrogate's slope and curvature from the
-    # same evaluation of its parts
-    v, t, curv = _smooth_abs_parts(beta, spec.smooth_sharpness)
+    # value of each row, with the surrogate's slope and curvature: the
+    # surrogate of |b| is the smoothed_abs loss at residual b, slope -ell'
+    surrogate = LossSpec("smoothed_abs", smooth_scale=spec.smooth_sharpness)
+    v, d1, curv = _loss_terms(surrogate, beta, 0.0)
     value = _dot(spec.mix * beta, beta) + (1.0 - spec.mix) * np.sum(v, axis=-1)
-    return value, t, curv
+    return value, -d1, curv
 
 
 def reg_value(spec, beta):

@@ -119,8 +119,8 @@ class ModelSpec:
     phi: LossSpec | None = None
 
     def __post_init__(self):
-        if not self.lam > 0:
-            raise ValueError("lam must be positive")
+        if not 0 < self.lam < np.inf:
+            raise ValueError("lam must be positive and finite")
 
     @property
     def phi_spec(self):
@@ -262,9 +262,9 @@ def _fit_newton(data, model, opts, beta, used=0):
     factor = None
     singular = False
 
-    for it in range(used, opts.max_iter):
-        if gnorm <= opts.tol:
-            return FitResult(beta, obj, gnorm, it, True)
+    for it in range(used, opts.max_iter + 1):
+        if gnorm <= opts.tol or it == opts.max_iter:
+            return FitResult(beta, obj, gnorm, it, gnorm <= opts.tol)
         stale = factor is not None
         if factor is None:
             try:
@@ -273,14 +273,13 @@ def _fit_newton(data, model, opts, beta, used=0):
                 if not singular:
                     log.warning("singular Newton system, falling back to gradient step")
                 singular = True
-        if factor is None:  # singular: step along -grad
-            direction = -grad
-        else:
-            direction = -cho_solve(factor, grad, check_finite=False)
+        # -grad, unless the system is regular and its Newton direction descends
+        direction = -grad
+        if factor is not None:
+            newton = -cho_solve(factor, grad, check_finite=False)
+            if grad @ newton < 0.0:
+                direction = newton
         slope = float(grad @ direction)
-        if slope >= 0.0:
-            direction = -grad
-            slope = -float(grad @ grad)
 
         t = 1.0
         cand = beta + direction
@@ -300,8 +299,6 @@ def _fit_newton(data, model, opts, beta, used=0):
         if t < 1.0 or new_gnorm > _REFRESH_RATIO * gnorm:
             factor = None
         gnorm = new_gnorm
-
-    return FitResult(beta, obj, gnorm, opts.max_iter, gnorm <= opts.tol)
 
 
 @lru_cache(maxsize=None)

@@ -193,6 +193,22 @@ def test_a_failed_run_removes_the_out_levels_it_created(tmp_path):
     assert list(tmp_path.iterdir()) == []
 
 
+def test_a_failed_run_removes_a_level_created_on_the_way_through_dot_dot(tmp_path):
+    # makedirs creates a on the way to a/../b; the level a/.. is the working
+    # directory, whose failed removal must not end the clean-up
+    out = tmp_path / "a" / ".." / "b"
+    args = ["fit", "--config", str(tmp_path / "missing.cfg"), "--out", str(out)]
+    assert main(args) == 2
+    assert list(tmp_path.iterdir()) == []
+
+
+def test_a_run_whose_fit_does_not_converge_exits_1(table2_cfg, capsys):
+    table2_cfg.write_text(TINY_TABLE2 + "\n[solver]\nmax_iter = 1\n")
+    assert main(["simulate", "table2", "--config", str(table2_cfg)]) == 1
+    err = capsys.readouterr().err
+    assert "numerical failure: full fit did not converge (n=25, rep=0)" in err
+
+
 def test_a_failed_run_keeps_an_out_directory_that_existed(tmp_path):
     out = tmp_path / "out"
     out.mkdir()
@@ -378,6 +394,20 @@ def test_simulate_on_a_loss_the_oracle_cannot_score_exits_2(table2_cfg, capsys):
             "family = linear\nbeta_dist = constant:x",
             "beta_dist = 'constant:x'",
         ),
+        ("lambda = 0.5", "lambda = inf", "[model]: lam must be positive and finite"),
+        ("seed = 2", "seed = 2\nlambdas = 1.0, inf", "lambdas = (1.0, inf)"),
+        ("noise_var = 1.0", "noise_var = nan", "requires 0 <= noise_var < inf"),
+        ("sigma = identity/n", "sigma = scale:inf", "sigma = 'scale:inf'"),
+        (
+            "loss = squared",
+            "loss = pseudo_huber\nhuber_scale = inf",
+            "requires 0 < huber_scale < inf",
+        ),
+        (
+            "reg = ridge",
+            "reg = smoothed_elastic_net\nmix = 0.5\nsharpness = inf",
+            "requires 0 < smooth_sharpness < inf",
+        ),
     ],
     ids=[
         "sigma",
@@ -388,11 +418,17 @@ def test_simulate_on_a_loss_the_oracle_cannot_score_exits_2(table2_cfg, capsys):
         "sigma_scale_not_a_number",
         "sigma_scale_not_positive",
         "beta_dist_constant_not_a_number",
+        "lambda_inf",
+        "lambdas_inf",
+        "noise_var_nan",
+        "sigma_scale_inf",
+        "huber_scale_inf",
+        "sharpness_inf",
     ],
 )
 def test_unusable_design_value_exits_2(tmp_path, capsys, old, new, message):
-    # each of these used to pass load_config and fail with a traceback in
-    # the first replicate
+    # each of these used to pass load_config and then fail with a traceback
+    # or a numerical failure in the first replicate, or (lambdas) run
     bad = tmp_path / "bad.cfg"
     bad.write_text(TINY_LO.replace(old, new))
     assert main(["lo", "--config", str(bad)]) == 2

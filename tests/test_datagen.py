@@ -232,11 +232,26 @@ def test_sim_config_validation():
         (dict(lambdas=(0.5, -1.0)), "lambdas"),
         (dict(lambdas=(0.0,)), "lambdas"),
         (dict(lambdas=(float("nan"),)), "lambdas"),
+        (dict(lambdas=(1.0, float("inf"))), "lambdas"),
+        (dict(noise_var=float("nan")), "noise_var"),
+        (dict(noise_var=float("inf")), "noise_var"),
+        (dict(sigma="scale:inf"), "sigma"),
     ],
-    ids=["n_1", "n_1_among_others", "lambda_negative", "lambda_0", "lambda_nan"],
+    ids=[
+        "n_1",
+        "n_1_among_others",
+        "lambda_negative",
+        "lambda_0",
+        "lambda_nan",
+        "lambda_inf",
+        "noise_var_nan",
+        "noise_var_inf",
+        "sigma_scale_inf",
+    ],
 )
 def test_sim_config_refuses_what_no_study_can_run(bad, name):
-    # a refit keeps at least one row, and every lambda sets a ModelSpec
+    # a refit keeps at least one row, every lambda sets a ModelSpec, and a
+    # replicate draws finite data
     with pytest.raises(ValueError, match=name):
         SimConfig(**(dict(ns=(10,), p=5, k=1) | bad))
 

@@ -49,21 +49,21 @@ def test_smoothed_elastic_net_finite_differences():
 def test_smoothed_elastic_net_eval_is_one_parts_call(monkeypatch):
     # reg_eval's value and curvature are reg_value's and reg_curvature_diag's
     # to the bit, and its gradient is 2 mix b + (1 - mix) tanh(s b / 2), all
-    # from one evaluation of the surrogate's parts
+    # from one evaluation of the surrogate, the smoothed_abs loss at residual b
     grid = np.array(
         [-1e150, -1e3, -40.0, -1.5, -1e-9, -0.0, 0.0, 1e-9, 0.7, 40.0, 1e150]
     )
     block = np.stack([grid, grid[::-1], 0.5 * grid])
     calls = []
-    parts = regularizers._smooth_abs_parts
+    terms = regularizers._loss_terms
 
-    def counted(beta, sharpness):
+    def counted(spec, y, z):
         calls.append(1)
-        return parts(beta, sharpness)
+        return terms(spec, y, z)
 
     for beta in (grid, block):
         value, grad, curv = reg_eval(SEN, beta)
-        monkeypatch.setattr(regularizers, "_smooth_abs_parts", counted)
+        monkeypatch.setattr(regularizers, "_loss_terms", counted)
         reg_eval(SEN, beta)
         monkeypatch.undo()
         assert len(calls) == 1

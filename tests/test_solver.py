@@ -139,6 +139,24 @@ def test_fold_refit_equals_fit_on_kept_rows(model):
     assert refit.iterations == direct.iterations
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ModelSpec(LossSpec("squared"), RegSpec("ridge"), lam=np.inf),
+        lambda: LossSpec("pseudo_huber", huber_scale=np.inf),
+        lambda: LossSpec("smoothed_abs", smooth_scale=np.inf),
+        lambda: LossSpec("negative_binomial", shape=np.inf),
+        lambda: RegSpec("smoothed_elastic_net", mix=0.5, smooth_sharpness=np.inf),
+        lambda: CovSpec("scaled_identity", np.inf),
+    ],
+    ids=["lam", "huber_scale", "smooth_scale", "shape", "smooth_sharpness", "scale"],
+)
+def test_an_infinite_parameter_is_refused(make):
+    # each used to be accepted, to end in a NaN objective or a non-finite design
+    with pytest.raises(ValueError, match="finite|< inf"):
+        make()
+
+
 def test_refit_rejects_bad_row_sets():
     data = Dataset(np.eye(3), np.zeros(3))
     with pytest.raises(ValueError):
@@ -381,6 +399,25 @@ def test_singular_newton_system_is_logged_once_per_fit(caplog):
     assert [r.getMessage() for r in caplog.records] == [
         "singular Newton system, falling back to gradient step"
     ]
+
+
+def test_a_newton_direction_that_does_not_descend_steps_along_minus_grad(monkeypatch):
+    # a NaN Newton direction has no negative slope: the fit steps along -grad,
+    # through the iterates a singular system at every point gives
+    data = seeded_logistic_data(40, 5, 0)
+    model, opts = logistic_ridge_model(0.5), SolverOpts(max_iter=200)
+
+    def singular(*args):
+        raise LinAlgError("singular")
+
+    with monkeypatch.context() as m:
+        m.setattr(solver, "_hessian_factor", singular)
+        gradient_only = fit(data, model, opts)
+    monkeypatch.setattr(solver, "cho_solve", lambda f, g, **kw: np.full_like(g, np.nan))
+    res = fit(data, model, opts)
+    assert gradient_only.converged and res.converged
+    assert res.iterations == gradient_only.iterations > 1
+    assert res.beta_hat.tobytes() == gradient_only.beta_hat.tobytes()
 
 
 def test_newton_evaluates_each_point_it_tries_once(monkeypatch):
