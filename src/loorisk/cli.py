@@ -16,7 +16,7 @@ import configparser
 import os
 import shlex
 import sys
-from contextlib import contextmanager, suppress
+from contextlib import contextmanager
 from dataclasses import replace
 from importlib import resources
 from pathlib import Path
@@ -163,14 +163,15 @@ def load_config(path=None, preset=None):
     return load_config_text(text, source=str(path))
 
 
-def _apply_overrides(args, sim, opts):
+def _load(args):
+    sim, model, opts = load_config(args.config, args.preset)
     if args.seed is not None:
         with _refused("--seed", UsageError):
             sim = replace(sim, seed=args.seed)
     if args.tol is not None:
         with _refused("--tol", UsageError):
             opts = replace(opts, tol=args.tol)
-    return sim, opts
+    return sim, model, opts
 
 
 def _threads(args):
@@ -191,8 +192,7 @@ def _first_replicate(args):
 
     Returns (sim, model, opts, data, cov, full) with a converged full fit.
     """
-    sim, model, opts = load_config(args.config, args.preset)
-    sim, opts = _apply_overrides(args, sim, opts)
+    sim, model, opts = _load(args)
     data, _, cov, full = _fitted_replicate(sim, model, sim.ns[0], 0, opts)
     return sim, model, opts, data, cov, full
 
@@ -297,8 +297,7 @@ def _cmd_audit(args):
 
 
 def _cmd_simulate(args):
-    sim, model, opts = load_config(args.config, args.preset)
-    sim, opts = _apply_overrides(args, sim, opts)
+    sim, model, opts = _load(args)
     with _refused(f"simulate {args.study}"):
         check_study(args.study, sim, model)
     result = _run_study(args.study, sim, model, opts, _threads(args))
@@ -426,6 +425,14 @@ def build_parser():
     return parser
 
 
+def _check_out(out):
+    """Refuse an --out whose deepest existing level write_results cannot use."""
+    path = Path(out).absolute()
+    level = next(level for level in (path, *path.parents) if level.exists())
+    if not (level.is_dir() and os.access(level, os.W_OK | os.X_OK)):
+        raise OSError(f"{level} is not a directory this process can write")
+
+
 def main(argv=None):
     parser = build_parser()
     argv = sys.argv[1:] if argv is None else list(argv)
@@ -434,15 +441,10 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     args.argv = argv
-    out = getattr(args, "out", None)
-    path = Path(out or os.curdir).absolute()
-    # the --out levels this run creates, deepest first, removed if left empty
-    created = [level for level in (path, *path.parents) if not level.exists()]
     try:
-        if out:
-            # before the run, so that an unusable --out fails at once
-            with _refused(f"--out {out}", UsageError, OSError):
-                os.makedirs(out, exist_ok=True)
+        if getattr(args, "out", None):
+            with _refused(f"--out {args.out}", UsageError, OSError):
+                _check_out(args.out)
         return args.run(args)
     except ConfigError as exc:
         print(f"{exc.kind} error: {exc}", file=sys.stderr)
@@ -450,10 +452,6 @@ def main(argv=None):
     except (SolverError, np.linalg.LinAlgError, FloatingPointError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 1
-    finally:
-        for level in created:
-            with suppress(OSError):
-                level.rmdir()
 
 
 if __name__ == "__main__":

@@ -229,15 +229,16 @@ class SimConfig:
                 raise ValueError(f"lambdas = {lambdas}: not all positive and finite")
             object.__setattr__(self, "lambdas", lambdas)
         for name in ("p", "k"):
-            if getattr(self, name) is not None:
-                _integer(name, getattr(self, name))
+            value, ratio = getattr(self, name), getattr(self, f"{name}_ratio")
+            if (value is None) == (ratio is None):
+                raise ValueError(f"exactly one of {name}, {name}_ratio must be set")
+            if ratio is None:
+                _integer(name, value)
+            elif not np.isfinite(ratio):
+                raise ValueError(f"{name}_ratio = {ratio}: not finite")
         if _integer("reps", self.reps) < 1:
             raise ValueError("reps must be >= 1")
         _integer("seed", self.seed)
-        if (self.p is None) == (self.p_ratio is None):
-            raise ValueError("exactly one of p, p_ratio must be set")
-        if (self.k is None) == (self.k_ratio is None):
-            raise ValueError("exactly one of k, k_ratio must be set")
         # a replicate parses these values when it is drawn: probe them now,
         # so that a design no replicate can use is refused where it is built
         for n in self.ns:

@@ -1,4 +1,5 @@
 import json
+import os
 import shlex
 
 import numpy as np
@@ -217,6 +218,48 @@ def test_a_failed_run_keeps_an_out_directory_that_existed(tmp_path):
     assert out.is_dir() and list(out.iterdir()) == []
 
 
+def test_a_failed_run_keeps_a_directory_reached_through_a_missing_level(
+    tmp_path, monkeypatch
+):
+    # x/../e names e only once x exists; the run must create neither x nor
+    # anything under e
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "e").mkdir()
+    args = ["fit", "--config", str(tmp_path / "missing.cfg"), "--out", "x/../e/y"]
+    assert main(args) == 2
+    assert (tmp_path / "e").is_dir() and list((tmp_path / "e").iterdir()) == []
+    assert not (tmp_path / "x").exists()
+
+
+def test_out_under_a_file_is_a_usage_error_before_the_run(lo_cfg, tmp_path, capsys):
+    (tmp_path / "afile").write_text("")
+    out = tmp_path / "afile" / "sub"
+    assert main(["fit", "--config", str(lo_cfg), "--out", str(out)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: --out {out}:")
+    assert captured.out == ""
+
+
+@pytest.mark.skipif(
+    os.name != "posix" or os.geteuid() == 0,
+    reason="root writes to a read-only directory",
+)
+def test_out_under_a_read_only_directory_is_a_usage_error_before_the_run(
+    lo_cfg, tmp_path, capsys
+):
+    locked = tmp_path / "locked"
+    locked.mkdir(mode=0o500)
+    out = locked / "run"
+    try:
+        assert main(["fit", "--config", str(lo_cfg), "--out", str(out)]) == 2
+    finally:
+        locked.chmod(0o700)
+    captured = capsys.readouterr()
+    assert captured.err.startswith(f"usage error: --out {out}:")
+    assert captured.out == ""
+    assert not out.exists()
+
+
 def test_manifest_records_the_arguments_main_parsed(lo_cfg, tmp_path, monkeypatch):
     monkeypatch.setattr("sys.argv", ["loorisk", "--unrelated", "flag"])
     out = tmp_path / "a run"
@@ -408,6 +451,13 @@ def test_simulate_on_a_loss_the_oracle_cannot_score_exits_2(table2_cfg, capsys):
             "reg = smoothed_elastic_net\nmix = 0.5\nsharpness = inf",
             "requires 0 < smooth_sharpness < inf",
         ),
+        (
+            "lambda = 0.5",
+            "lambda = 0.5\n[solver]\ntol = inf",
+            "[solver]: tol must be positive and finite",
+        ),
+        ("p = 6", "p_ratio = inf", "p_ratio = inf: not finite"),
+        ("k = 2", "k_ratio = inf", "k_ratio = inf: not finite"),
     ],
     ids=[
         "sigma",
@@ -424,6 +474,9 @@ def test_simulate_on_a_loss_the_oracle_cannot_score_exits_2(table2_cfg, capsys):
         "sigma_scale_inf",
         "huber_scale_inf",
         "sharpness_inf",
+        "tol_inf",
+        "p_ratio_inf",
+        "k_ratio_inf",
     ],
 )
 def test_unusable_design_value_exits_2(tmp_path, capsys, old, new, message):
@@ -467,6 +520,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, extra, message):
         (["audit", "--sample-i", "0"], "--sample-i"),
         (["lo", "--tol", "-1"], "--tol"),
         (["lo", "--tol", "0"], "--tol"),
+        (["lo", "--tol", "inf"], "--tol"),
         (["fit", "--seed", "-3"], "--seed"),
         (["bounds", "--rho", "1", "--delta", "1", "--lambda", "-1"], "--lambda"),
         (["bounds", "--rho", "1", "--delta", "1", "--lambda", "1", "--n", "0"], "--n"),
@@ -480,6 +534,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, extra, message):
         "sample_i_0",
         "tol_negative",
         "tol_0",
+        "tol_inf",
         "seed_negative",
         "lambda_negative",
         "n_0",

@@ -236,6 +236,8 @@ def test_sim_config_validation():
         (dict(noise_var=float("nan")), "noise_var"),
         (dict(noise_var=float("inf")), "noise_var"),
         (dict(sigma="scale:inf"), "sigma"),
+        (dict(p=None, p_ratio=float("inf")), "p_ratio"),
+        (dict(k=None, k_ratio=float("inf")), "k_ratio"),
     ],
     ids=[
         "n_1",
@@ -247,6 +249,8 @@ def test_sim_config_validation():
         "noise_var_nan",
         "noise_var_inf",
         "sigma_scale_inf",
+        "p_ratio_inf",
+        "k_ratio_inf",
     ],
 )
 def test_sim_config_refuses_what_no_study_can_run(bad, name):

@@ -148,8 +148,17 @@ def test_fold_refit_equals_fit_on_kept_rows(model):
         lambda: LossSpec("negative_binomial", shape=np.inf),
         lambda: RegSpec("smoothed_elastic_net", mix=0.5, smooth_sharpness=np.inf),
         lambda: CovSpec("scaled_identity", np.inf),
+        lambda: SolverOpts(tol=np.inf),
     ],
-    ids=["lam", "huber_scale", "smooth_scale", "shape", "smooth_sharpness", "scale"],
+    ids=[
+        "lam",
+        "huber_scale",
+        "smooth_scale",
+        "shape",
+        "smooth_sharpness",
+        "scale",
+        "tol",
+    ],
 )
 def test_an_infinite_parameter_is_refused(make):
     # each used to be accepted, to end in a NaN objective or a non-finite design
