@@ -59,6 +59,11 @@ class LossSpec:
             elif value is not None:
                 raise ValueError(f"{name} is not a parameter of {self.family}")
 
+    @property
+    def is_quadratic(self):
+        """Whether the loss is quadratic in z, so that its gradient is affine."""
+        return self.family == "squared"
+
 
 def _softplus(z):
     """log(1 + e^z) without overflow."""
@@ -114,39 +119,43 @@ def _loss_value(spec, y, z):
     return (y + 1.0 / a) * _softplus(z + np.log(a)) - y * z
 
 
-def _loss_terms(spec, y, z):
+def _loss_terms(spec, y, z, curvature=True):
     """Loss value and first two derivatives in z, as plain array maths.
 
+    Without curvature, the value and ell' alone: ell'' is not computed.
     Unchecked: y must lie in the response domain and z be finite.  loss_eval
     checks both; fit and the estimators check y once on entry.
     """
     f = spec.family
-    value = _loss_value(spec, y, z)
     if f == "squared":
         r = z - y
-        return value, r, np.ones(r.shape)
+        # _loss_value's formula, on the one residual
+        value, d1 = 0.5 * r * r, r
+        return (value, d1, np.ones(r.shape)) if curvature else (value, d1)
+    value = _loss_value(spec, y, z)
     if f == "logistic":
         s = _sigmoid(z)
-        return value, s - y, s * (1.0 - s)
-    if f == "pseudo_huber":
+        d1, d2 = s - y, lambda: s * (1.0 - s)
+    elif f == "pseudo_huber":
         g = spec.huber_scale
         u = y - z
         w = np.sqrt(1.0 + (u / g) ** 2)
-        return value, -u / w, w**-3
-    if f == "smoothed_abs":
+        d1, d2 = -u / w, lambda: w**-3
+    elif f == "smoothed_abs":
         g = spec.smooth_scale
         t = np.tanh(0.5 * g * (y - z))
-        return value, -t, 0.5 * g * (1.0 - t * t)
-    if f == "poisson_softrect":
+        d1, d2 = -t, lambda: 0.5 * g * (1.0 - t * t)
+    elif f == "poisson_softrect":
         mean = np.maximum(_softplus(z), _MEAN_FLOOR)
         slope = _sigmoid(z)
-        curv = slope * (1.0 - slope)
         ratio = y / mean
-        d2 = curv * (1.0 - ratio) + y * (slope / mean) ** 2
-        return value, slope * (1.0 - ratio), d2
-    a = spec.shape
-    s = _sigmoid(z + np.log(a))
-    return value, (y + 1.0 / a) * s - y, (y + 1.0 / a) * s * (1.0 - s)
+        d1 = slope * (1.0 - ratio)
+        d2 = lambda: slope * (1.0 - slope) * (1.0 - ratio) + y * (slope / mean) ** 2
+    else:
+        a = spec.shape
+        s = _sigmoid(z + np.log(a))
+        d1, d2 = (y + 1.0 / a) * s - y, lambda: (y + 1.0 / a) * s * (1.0 - s)
+    return (value, d1, d2()) if curvature else (value, d1)
 
 
 def loss_eval(spec, y, z):

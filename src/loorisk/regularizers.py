@@ -127,9 +127,11 @@ def _prox_params(spec, step, lam):
     return step * lam * spec.mix, 1.0 + step * lam * (1.0 - spec.mix)
 
 
-def _prox(v, thresh, shrink):
-    """prox_step from its _prox_params: the kernel FISTA iterates."""
-    return np.copysign(np.maximum(np.abs(v) - thresh, 0.0) / shrink, v)
+def _prox(v, thresh, shrink, out=None):
+    """prox_step from its _prox_params: the kernel FISTA iterates, written
+    in place into out (an array other than v) when one is given."""
+    mag = np.maximum(np.subtract(np.abs(v, out=out), thresh, out=out), 0.0, out=out)
+    return np.copysign(np.divide(mag, shrink, out=out), v, out=out)
 
 
 def strong_convexity_lower(spec, lam):

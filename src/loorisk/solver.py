@@ -6,9 +6,12 @@ Armijo backtracking; the factorized Hessian is reused across steps and
 refreshed only when progress degrades, which keeps warm-started refits at
 roughly one factorization each.  l1-composite objectives use a monotone
 FISTA with backtracking step size and adaptive restart, written once as a
-block of fits run in lockstep; fit is its one-row case.  A row leaves the
-block only at the top of an iteration (converged, backtracking failed, or
-out of budget), so the block's arrays shrink in one place.
+block of fits run in lockstep; fit is its one-row case.  An iteration makes
+three products with X for the block, two for a quadratic loss, whose
+gradient at the momentum point is extrapolated like the point's predictors.
+A row leaves the block only at the top of an iteration (converged,
+backtracking failed, or out of budget), so the block's arrays shrink in one
+place.
 
 fit_leave_one_out refits without one row or a set of rows, the reference of
 fit_leave_groups_out, the one route for many refits, which refits without
@@ -211,20 +214,27 @@ def _armijo_ok(cand_obj, obj, slope, t=1.0):
     return (slope < 0.0) & (cand_obj <= obj + _ARMIJO * t * slope + noise)
 
 
+def _drop_index(drop):
+    """Index of the held-out terms of an m x n block, row j's at drop[j] (an
+    m x k index array), or None when k = 0; built once per block shape."""
+    return (np.arange(drop.shape[0])[:, None], drop) if drop.shape[1] else None
+
+
 def _sigma_max_gram(X, drop, iters=60):
     """Largest eigenvalue of X_j^T X_j for each row j of drop.
 
     X_j holds the rows of X outside drop[j] (an m x k index array, as
-    _block_loss takes it).  Power iteration from one deterministic start.
+    _drop_index takes it).  Power iteration from one deterministic start.
     """
     rng = np.random.default_rng(0)
     v = rng.standard_normal(X.shape[1])
     v /= np.linalg.norm(v)
     V = np.tile(v, (drop.shape[0], 1))
+    at = _drop_index(drop)
     for _ in range(iters):
         Z = V @ X.T
-        if drop.size:
-            Z[np.arange(drop.shape[0])[:, None], drop] = 0.0
+        if at is not None:
+            Z[at] = 0.0
         W = Z @ X
         s = np.sqrt((W * W).sum(axis=1))
         # a row whose product vanishes stays at 0
@@ -232,18 +242,17 @@ def _sigma_max_gram(X, drop, iters=60):
     return s
 
 
-def _block_loss(loss, X, y, Z, drop):
-    """Loss sum, gradient and ell'' of each row b_j of an m x p block.
+def _block_loss(loss, y, Z, at):
+    """Loss sum and ell' of each row b_j of an m x p block.
 
     Z = B X^T holds the linear predictors of the block.  Row j is scored on
-    the rows of (X, y) outside drop[j] (drop is an m x k index array, k = 0
-    for none), where its terms, ell'' too, are zeroed in place.
+    the rows of (X, y) it keeps: its terms at the _drop_index at (None for
+    none) are zeroed in place, so that its gradient is row j of ell' X.
     """
-    values, d1, d2 = _loss_terms(loss, y, Z)
-    if drop.size:
-        at = np.arange(drop.shape[0])[:, None], drop
-        values[at], d1[at], d2[at] = 0.0, 0.0, 0.0
-    return values.sum(axis=1), d1 @ X, d2
+    values, d1 = _loss_terms(loss, y, Z, curvature=False)
+    if at is not None:
+        values[at], d1[at] = 0.0, 0.0
+    return values.sum(axis=1), d1
 
 
 def _terms(data, model, b):
@@ -318,24 +327,47 @@ def _momentum(n):
     return w
 
 
+def _extrapolate(new, old, w, out=None):
+    """new + w (new - old), FISTA's momentum point, written into out if given."""
+    out = np.subtract(new, old, out=out)
+    return np.add(np.multiply(out, w, out=out), new, out=out)
+
+
+def _momentum_point(loss, X, y, Z, at, g_new, g_old, w, out=None):
+    """Loss sum and gradient (into out if given) of each row of a block at
+    its momentum point, whose predictors Z extrapolate the new iterates' by
+    the weights w.  A quadratic loss's gradient is affine in Z, so it is
+    extrapolated alike from the new and old iterates' gradients."""
+    if loss.is_quadratic:
+        return _block_loss(loss, y, Z, at)[0], _extrapolate(g_new, g_old, w, out)
+    values, d1 = _block_loss(loss, y, Z, at)
+    return values, np.matmul(d1, X, out=out)
+
+
 def _fista_block(X, y, model, B, drop, opts):
     """FitResults of monotone FISTA from each row of the m x p block B.
 
     Row j minimizes the loss on the rows of (X, y) outside drop[j] (an m x k
-    index array, as _block_loss takes it) plus lam * r, with its own step
-    size 1/L, momentum and restarts; the rows run in lockstep, one iteration
-    being a few products with X for the whole block.  A row leaves at the
-    top of an iteration, the one place rows leave the arrays, and reports
-    the iterations it used: converged once its prox-gradient residual
-    |b - prox(b - g/L)| is at most opts.tol; unconverged when its
+    index array, as _drop_index takes it) plus lam * r, with its own step
+    size 1/L, momentum and restarts; the rows run in lockstep.  An
+    iteration makes two products with X for the whole block, the
+    candidates' predictors and gradients, and a third for the momentum
+    points' gradients unless the loss is quadratic (_momentum_point); the
+    rest runs in place, on arrays allocated when the block shrinks.  A row
+    leaves at the top of an iteration, the one place rows leave the arrays,
+    and reports the iterations it used: converged once its prox-gradient
+    residual |b - prox(b - g/L)| is at most opts.tol; unconverged when its
     backtracking pushed L past 1e25 in the iteration before, which it ends
     without an update, or when opts.max_iter iterations are used.
     """
-    lam, reg = model.lam, model.reg
+    lam, reg, loss = model.lam, model.reg, model.loss
+    n, p = X.shape
     results = [None] * B.shape[0]
 
-    def smooth(z, held):
-        return _block_loss(model.loss, X, y, z, held)[:2]
+    def buffers(m):
+        """Arrays of m rows for a candidate, its predictors and gradient,
+        and two scratch arrays."""
+        return [np.empty((m, c)) for c in (p, n, p, p, p)]
 
     def steps(L):
         """Step 1/L, prox threshold and shrink, and L/2, per entry.
@@ -343,33 +375,53 @@ def _fista_block(X, y, model, B, drop, opts):
         The per-entry arrays are filled once per change of L, so that the
         iterations run without broadcasting.
         """
-        p = X.shape[1]
         step = np.repeat((1.0 / L)[:, None], p, axis=1)
         half_L = np.repeat((0.5 * L)[:, None], p, axis=1)
         return (step, *_prox_params(reg, step, lam), half_L)
 
-    def residual(b, g, step, thresh, shrink):
-        moved = b - _prox(b - step * g, thresh, shrink)
-        return np.abs(moved).max(axis=1, initial=0.0)
+    def penalty(b, tmp):
+        """lam * r of each row of b, as reg_value computes r, through tmp."""
+        l1 = np.abs(b, out=tmp).sum(axis=1)
+        if reg.family == "l1":
+            return lam * l1
+        quad = np.multiply(np.multiply(0.5 * (1.0 - reg.mix), b, out=tmp), b, out=tmp)
+        return lam * (quad.sum(axis=1) + reg.mix * l1)
 
-    def candidate(sel, step, thresh, shrink, half_L):
-        """Prox-gradient step from yk on rows sel (indices or a slice): the
-        step, its predictors, loss, gradient and quadratic-bound test."""
+    def residual(b, g, step, thresh, shrink, tmp=None, out=None):
+        """|b - prox(b - g/L)| of each row, through tmp and out if given."""
+        v = np.subtract(b, np.multiply(step, g, out=tmp), out=tmp)
+        moved = np.subtract(b, _prox(v, thresh, shrink, out=out), out=out)
+        return np.abs(moved, out=out).max(axis=1, initial=0.0)
+
+    def candidate(sel, at, step, thresh, shrink, half_L, out):
+        """Prox-gradient step from yk on rows sel (a slice or indices): its
+        loss and quadratic-bound test.  The step, its predictors and its
+        gradient are written into out[:3]; out[3:] are scratch."""
+        cand, zc, gc, tmp, tmp2 = out
         base, f_base, g_base = yk[sel], fy[sel], gy[sel]
-        cand = _prox(base - step * g_base, thresh, shrink)
-        zc = cand @ X.T
-        f_cand, g_cand = smooth(zc, drop[sel])
-        diff = cand - base
-        quad = f_base + ((g_base + half_L * diff) * diff).sum(axis=1)
-        return cand, zc, f_cand, g_cand, f_cand <= quad + 1e-12 * (1.0 + np.abs(f_base))
+        v = np.subtract(base, np.multiply(step, g_base, out=tmp), out=tmp)
+        _prox(v, thresh, shrink, out=cand)
+        np.matmul(cand, X.T, out=zc)
+        f_cand, d1 = _block_loss(loss, y, zc, at)
+        np.matmul(d1, X, out=gc)
+        diff = np.subtract(cand, base, out=tmp)
+        bound = np.add(np.multiply(half_L, diff, out=tmp2), g_base, out=tmp2)
+        quad = f_base + np.multiply(bound, diff, out=tmp2).sum(axis=1)
+        return f_cand, f_cand <= quad + 1e-12 * (1.0 + np.abs(f_base))
 
-    rows, x = np.arange(B.shape[0]), B
+    rows, x, at = np.arange(B.shape[0]), B.copy(), _drop_index(drop)
+    cand, zc, gc, tmp, tmp2 = buffers(rows.size)
     zx = x @ X.T
-    fx, gx, d2 = _block_loss(model.loss, X, y, zx, drop)
+    fx, d1 = _block_loss(loss, y, zx, at)
+    gx = d1 @ X
+    # the first step size takes the loss's largest curvature on the kept rows
+    d2 = _loss_terms(loss, y, zx)[2]
+    if at is not None:
+        d2[at] = 0.0
     L = np.maximum(_sigma_max_gram(X, drop) * np.maximum(d2.max(1), 1e-12), 1e-12)
-    Fx = fx + lam * reg_value(reg, x)
+    Fx = fx + penalty(x, tmp)
     step, thresh, shrink, half_L = steps(L)
-    res = residual(x, gx, step, thresh, shrink)
+    res = residual(x, gx, step, thresh, shrink, tmp, tmp2)
     # yk is the point the next candidate steps from, zx = x X^T, and k
     # counts the momentum steps since the last restart.  A prox-gradient
     # step from x itself cannot increase the objective, so it is accepted
@@ -395,10 +447,13 @@ def _fista_block(X, y, model, B, drop, opts):
             drop, failed = drop[left], np.zeros(rows.size, dtype=bool)
             if not rows.size:
                 break
+            at = _drop_index(drop)
             step, thresh, shrink, half_L = steps(L)
+            cand, zc, gc, tmp, tmp2 = buffers(rows.size)
         if used >= len(momentum):
             momentum = _momentum(2 * len(momentum))
-        cand, zc, f_cand, g_cand, ok = candidate(np.s_[:], step, thresh, shrink, half_L)
+        out = cand, zc, gc, tmp, tmp2
+        f_cand, ok = candidate(np.s_[:], at, step, thresh, shrink, half_L, out)
         if np.count_nonzero(ok) < rows.size:
             # backtracking, on the rows whose step is too long
             back = np.flatnonzero(~ok)
@@ -409,29 +464,34 @@ def _fista_block(X, y, model, B, drop, opts):
                     log.warning("FISTA backtracking failed to find a valid step size")
                     failed[back[over]] = True
                     back = back[~over]
-                cb, zb, fb, gb, ok = candidate(back, *steps(L[back]))
-                cand[back], zc[back], f_cand[back], g_cand[back] = cb, zb, fb, gb
+                out = buffers(back.size)
+                fb, ok = candidate(back, _drop_index(drop[back]), *steps(L[back]), out)
+                cand[back], zc[back], gc[back], f_cand[back] = *out[:3], fb
                 back = back[~ok]
             step, thresh, shrink, half_L = steps(L)
-        F_cand = f_cand + lam * reg_value(reg, cand)
+        F_cand = f_cand + penalty(cand, tmp)
         cap = np.where(k > 0, Fx + 1e-14 * (1.0 + np.abs(Fx)), np.inf)
         accept = (F_cand <= cap) & ~failed
         if np.count_nonzero(accept) == rows.size:
-            res = residual(cand, g_cand, step, thresh, shrink)
+            res = residual(cand, gc, step, thresh, shrink, tmp, tmp2)
             w = momentum[k]
-            yk = cand + w * (cand - x)
-            fy, gy = smooth(zc + w * (zc - zx), drop)
-            k = k + 1
-            x, zx, fx, Fx, gx = cand, zc, f_cand, F_cand, g_cand
+            # the candidates become the iterates, whose arrays take the next
+            # candidates (zc the momentum points' predictors first)
+            x, zx, gx, cand, zc, gc = cand, zc, gc, x, zx, gx
+            fx, Fx = f_cand, F_cand
+            _extrapolate(x, cand, w, yk)
+            zy = _extrapolate(zx, zc, w, zc)
+            fy, _ = _momentum_point(loss, X, y, zy, at, gx, gc, w, gy)
+            k += 1
         else:
             a, r = np.flatnonzero(accept), np.flatnonzero(~accept)
-            res[a] = residual(cand[a], g_cand[a], step[a], thresh[a], shrink[a])
+            res[a] = residual(cand[a], gc[a], step[a], thresh[a], shrink[a])
             w = momentum[k[a]]
-            yk[a] = cand[a] + w * (cand[a] - x[a])
-            za = zc[a] + w * (zc[a] - zx[a])
-            fy[a], gy[a] = smooth(za, drop[a])
+            yk[a] = _extrapolate(cand[a], x[a], w)
+            za, at_a = _extrapolate(zc[a], zx[a], w), _drop_index(drop[a])
+            fy[a], gy[a] = _momentum_point(loss, X, y, za, at_a, gc[a], gx[a], w)
             k[a] += 1
-            x[a], zx[a], gx[a] = cand[a], zc[a], g_cand[a]
+            x[a], zx[a], gx[a] = cand[a], zc[a], gc[a]
             fx[a], Fx[a] = f_cand[a], F_cand[a]
             yk[r], fy[r], gy[r], k[r] = x[r], fx[r], gx[r], 0
         done = res <= opts.tol  # a row that kept x kept its residual, above tol
@@ -558,7 +618,7 @@ def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
     # refit i of the arrays is refit rows[i] of the block.  It leaves at the
     # top of an iteration, the one place the arrays shrink: converged,
     # stalled in the step before (short: without taking it), or out of budget
-    rows = np.arange(m)
+    rows, at = np.arange(m), _drop_index(drop)
     stalled = short = np.zeros(m, dtype=bool)
     for steps in range(opts.max_iter + 1):
         done = gnorm <= opts.tol
@@ -573,6 +633,7 @@ def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
             )
             if not rows.size:
                 break
+            at = _drop_index(drop)
         if steps:
             S = grad @ H_inv
         t = np.einsum("akp,ap->ak", Xg, S)
@@ -580,9 +641,9 @@ def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
         direction = -(S + np.einsum("akp,ak->ap", Wg, u))
         slope = np.einsum("ap,ap->a", grad, direction)
         cand = B + direction
-        cand_loss, cand_grad, _ = _block_loss(model.loss, X, y, cand @ X.T, drop)
+        cand_loss, d1 = _block_loss(model.loss, y, cand @ X.T, at)
         rv, rg, _ = reg_eval(model.reg, cand)
-        cand_obj, cand_grad = cand_loss + lam * rv, cand_grad + lam * rg
+        cand_obj, cand_grad = cand_loss + lam * rv, d1 @ X + lam * rg
         cand_gnorm = np.max(np.abs(cand_grad), axis=1, initial=0.0)
         # as in _fit_newton, a full step that passes the Armijo test is
         # taken; a refit whose step fails it, or that ends the step short

@@ -434,8 +434,8 @@ def test_nan_newton_candidate_is_never_accepted(monkeypatch):
                 value = np.full_like(value, np.nan)
         return value
 
-    def poisoned_terms(spec, y, z):
-        value, d1, d2 = real_terms(spec, y, z)
+    def poisoned_terms(spec, y, z, **curvature):
+        value, *slopes = real_terms(spec, y, z, **curvature)
         if np.ndim(z) == 2:
             # the batched kernel sees one refit per row of z; its first
             # call holds the first step of all eight refits in row order
@@ -444,7 +444,7 @@ def test_nan_newton_candidate_is_never_accepted(monkeypatch):
                 value[3] = np.nan
         else:
             value = poison_refit(y, z, value)
-        return value, d1, d2
+        return value, *slopes
 
     def poisoned_value(spec, y, z):
         # objective() scores by the value kernel alone; the line search
@@ -488,12 +488,12 @@ def test_fista_refit_whose_backtracking_fails_leaves_the_block(
     def poison_row_7():
         calls = []
 
-        def poisoned_block_loss(loss, X, y, Z, drop):
-            f, g, d2 = real_block_loss(loss, X, y, Z, drop)
+        def poisoned_block_loss(loss, y, Z, at):
+            f, d1 = real_block_loss(loss, y, Z, at)
             calls.append(1)
-            if drop is not None and (np.isnan(poison) or len(calls) > 1):
-                f = np.where((drop == 7).any(axis=1), poison, f)
-            return f, g, d2
+            if at is not None and (np.isnan(poison) or len(calls) > 1):
+                f = np.where((at[1] == 7).any(axis=1), poison, f)
+            return f, d1
 
         monkeypatch.setattr(solver, "_block_loss", poisoned_block_loss)
 
@@ -781,7 +781,9 @@ def direct_start(data, model, groups, warm):
         drop[j] = rows[0]
         drop[j, : len(rows)] = rows
     B = np.tile(warm, (m, 1))
-    loss_sum, loss_grad, _ = solver._block_loss(model.loss, X, data.y, B @ X.T, drop)
+    at = solver._drop_index(drop)
+    loss_sum, d1 = solver._block_loss(model.loss, data.y, B @ X.T, at)
+    loss_grad = d1 @ X
     rv, rg, _ = reg_eval(model.reg, B)
     obj, grad = loss_sum + lam * rv, loss_grad + lam * rg
     d2 = loss_eval(model.loss, data.y, X @ warm)[2]

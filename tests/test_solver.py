@@ -322,6 +322,63 @@ def test_fista_block_runs_the_sequential_method(loss, start, reg):
         assert np.max(np.abs(res.beta_hat - beta)) <= 1e-12
 
 
+def fista_lo_block(loss, n=30, p=20, m=4):
+    """A block of m LO refits from zero, as fit_leave_groups_out runs it."""
+    data = seeded_logistic_data(n, p, seed=31)
+    y = data.y if loss == "logistic" else data.X @ np.ones(p) + data.y
+    model = ModelSpec(LossSpec(loss), RegSpec("elastic_net", mix=0.5), lam=0.05)
+    drop = np.arange(m)[:, None]
+    return data.X, y, model, np.zeros((m, p)), drop
+
+
+def test_quadratic_momentum_gradient_is_the_extrapolated_one(monkeypatch):
+    # for squared loss the momentum point's gradient is extrapolated from
+    # the candidate's and the iterate's; in every iteration it equals the
+    # gradient scored directly at the momentum point's predictors
+    X, y, model, B, drop = fista_lo_block("squared")
+    real_point, errors = solver._momentum_point, []
+
+    def checked(loss, X, y, Z, at, g_new, g_old, w, out=None):
+        f, g = real_point(loss, X, y, Z, at, g_new, g_old, w, out)
+        direct = solver._block_loss(loss, y, Z, at)[1] @ X
+        scale = np.max(np.abs(direct), axis=1, initial=0.0)
+        errors.append(np.max(np.abs(g - direct), axis=1, initial=0.0) / scale)
+        return f, g
+
+    monkeypatch.setattr(solver, "_momentum_point", checked)
+    opts = SolverOpts(tol=1e-300, max_iter=60)
+    results = solver._fista_block(X, y, model, B, drop, opts)
+    assert [res.iterations for res in results] == [60] * 4
+    assert len(errors) == 60
+    assert max(np.max(e, initial=0.0) for e in errors) <= 1e-12
+
+
+@pytest.mark.parametrize("loss, products", [("squared", 1), ("logistic", 2)])
+def test_fista_makes_one_gradient_product_per_iteration_for_quadratic_loss(
+    loss, products
+):
+    # gradient products (rows @ X, not the predictors' rows @ X^T) made by
+    # 20 more iterations of the block: the candidates' gradients alone for
+    # squared loss, the momentum points' too otherwise
+    X, y, model, B, drop = fista_lo_block(loss)
+    counted = []
+
+    class CountedDesign(np.ndarray):
+        def __array_ufunc__(self, ufunc, method, *inputs, **kwargs):
+            if ufunc is np.matmul and inputs[1].shape == X.shape:
+                counted.append(1)
+            inputs = [np.asarray(a) for a in inputs]
+            return getattr(ufunc, method)(*inputs, **kwargs)
+
+    def gradient_products(max_iter):
+        counted.clear()
+        opts = SolverOpts(tol=1e-300, max_iter=max_iter)
+        solver._fista_block(X.view(CountedDesign), y, model, B, drop, opts)
+        return len(counted)
+
+    assert gradient_products(40) - gradient_products(20) == 20 * products
+
+
 def test_fista_l1_kkt_conditions():
     rng = np.random.default_rng(10)
     n, p = 30, 50
