@@ -38,7 +38,7 @@ from .losses import LossSpec, _check_family, loss_derivative_bound, loss_eval
 from .regularizers import RegSpec
 from .reporting import write_results
 from .risk import alo, kfold_cv, lo_exact, refits
-from .solver import Dataset, ModelSpec, SolverError, SolverOpts, fit
+from .solver import Dataset, ModelSpec, SolverError, SolverOpts, _pin_blas, fit
 
 _PRESET_DIR = resources.files("loorisk") / "presets"
 PRESETS = tuple(
@@ -178,8 +178,10 @@ def _threads(args):
     threads, where = args.threads, "--threads"
     if threads is None:
         env, where = os.environ.get("LOORISK_THREADS"), "LOORISK_THREADS"
+        affinity = getattr(os, "sched_getaffinity", None)
+        cpus = len(affinity(0)) if affinity else os.cpu_count() or 1
         try:
-            threads = int(env) if env else 1
+            threads = int(env) if env else cpus
         except ValueError as exc:
             raise ConfigError(f"LOORISK_THREADS={env!r} is not an integer") from exc
     if threads < 1:
@@ -419,7 +421,8 @@ def build_parser():
     sim_p = sub.add_parser("simulate")
     sim_p.add_argument("study", choices=tuple(_STUDIES))
     add_common(sim_p, _cmd_simulate)
-    sim_p.add_argument("--threads", type=int, help="worker processes")
+    threads_help = "worker processes (default: LOORISK_THREADS, else the usable CPUs)"
+    sim_p.add_argument("--threads", type=int, help=threads_help)
 
     sub.add_parser("selftest").set_defaults(run=_cmd_selftest)
     return parser
@@ -441,6 +444,7 @@ def main(argv=None):
     except SystemExit as exc:
         return int(exc.code or 0)
     args.argv = argv
+    _pin_blas({"numpy": 1, "scipy": 1})  # the same bytes on any core count
     try:
         if getattr(args, "out", None):
             with _refused(f"--out {args.out}", UsageError, OSError):

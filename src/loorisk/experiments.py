@@ -2,8 +2,8 @@
 bias comparison, and the log-log slope regression.
 
 Every replicate draws its data from an independent substream keyed by
-(seed, n, rep), so results are identical whether replicates run serially
-or in a process pool.
+(seed, n, rep), and pool workers take the starting process's BLAS threads,
+so results are identical whether replicates run serially or in a pool.
 """
 
 from __future__ import annotations
@@ -15,12 +15,11 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from . import solver
 from .bounds import compute_Cv_logistic
 from .datagen import SimConfig, derive_seed, gen_replicate
 from .oracles import TrueModel, err_out_linear, err_out_logistic
 from .risk import kfold_cv, lo_exact
-from .solver import Dataset, SolverError, fit
+from .solver import Dataset, SolverError, _openblas, _pin_blas, fit
 
 
 @dataclass
@@ -156,15 +155,11 @@ def _cell_rows(kind, config, model, n, results, wall_time):
     ]
 
 
-def _one_lane():
-    """Pool initializer: a worker refits on one lane, the pool being the parallelism."""
-    solver._LANES = 1
-
-
 def _run_study(kind, config, model, opts, threads):
     """Every cell of a study on a pool of min(threads, reps) processes (serial for 1).
 
-    A table cell is one n; a figure1 cell is one lambda at the first n.
+    A table cell is one n; a figure1 cell is one lambda at the first n.  The
+    pool is the one parallel layer; its workers take this process's BLAS threads.
     """
     check_study(kind, config, model)
     if kind == "figure1":
@@ -173,11 +168,11 @@ def _run_study(kind, config, model, opts, threads):
     else:
         cells = [(n, model) for n in config.ns]
     workers = min(threads or 1, config.reps)
-    parallel = workers > 1
-    rows = []
-    with (
-        ProcessPoolExecutor(workers, initializer=_one_lane) if parallel else nullcontext()
-    ) as pool:
+    parallel, pool, rows = workers > 1, nullcontext(), []
+    if parallel:
+        blas = {name: get() for name, get in _openblas("get").items()}
+        pool = ProcessPoolExecutor(workers, initializer=_pin_blas, initargs=(blas,))
+    with pool:
         run = pool.map if parallel else map
         for n, cell_model in cells:
             start = time.perf_counter()

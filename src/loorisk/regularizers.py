@@ -58,13 +58,13 @@ def _dot(a, b):
     return a @ b if a.ndim == 1 else (a * b).sum(axis=1)
 
 
-def _smoothed_enet_value(spec, beta):
-    # value of each row, with the surrogate's slope and curvature: the
-    # surrogate of |b| is the smoothed_abs loss at residual b, slope -ell'
+def _smoothed_enet_value(spec, beta, curvature=True):
+    # value of each row, with the surrogate's slope and (if asked) curvature:
+    # the surrogate of |b| is the smoothed_abs loss at residual b, slope -ell'
     surrogate = LossSpec("smoothed_abs", smooth_scale=spec.smooth_sharpness)
-    v, d1, curv = _loss_terms(surrogate, beta, 0.0)
+    v, d1, *curv = _loss_terms(surrogate, beta, 0.0, curvature)
     value = _dot(spec.mix * beta, beta) + (1.0 - spec.mix) * np.sum(v, axis=-1)
-    return value, -d1, curv
+    return value, -d1, *curv
 
 
 def reg_value(spec, beta):
@@ -77,7 +77,7 @@ def reg_value(spec, beta):
     if f == "ridge":
         value = 0.5 * _dot(beta, beta)
     elif f == "smoothed_elastic_net":
-        value, _, _ = _smoothed_enet_value(spec, beta)
+        value = _smoothed_enet_value(spec, beta, curvature=False)[0]
     elif f == "l1":
         value = np.abs(beta).sum(axis=-1)
     else:  # elastic_net
@@ -87,10 +87,9 @@ def reg_value(spec, beta):
     return float(value) if beta.ndim == 1 else value
 
 
-def reg_eval(spec, beta):
-    """Value, gradient and diagonal Hessian of a smooth regularizer.
-
-    An m x p block is taken row by row, as in reg_value.
+def reg_eval(spec, beta, curvature=True):
+    """Value, gradient and (unless curvature is False) diagonal Hessian of a
+    smooth regularizer.  An m x p block is taken row by row, as in reg_value.
 
     Raises ValueError for nonsmooth families; use prox_step for those.
     """
@@ -98,11 +97,12 @@ def reg_eval(spec, beta):
         raise ValueError(f"reg_eval requires a smooth family, got {spec.family}")
     beta = np.asarray(beta, dtype=float)
     if spec.family == "ridge":
-        return reg_value(spec, beta), beta.copy(), reg_curvature_diag(spec, beta)
-    value, t, curv = _smoothed_enet_value(spec, beta)
+        curv = [reg_curvature_diag(spec, beta)] if curvature else []
+        return reg_value(spec, beta), beta.copy(), *curv
+    value, t, *curv = _smoothed_enet_value(spec, beta, curvature)
     grad = 2.0 * spec.mix * beta + (1.0 - spec.mix) * t
-    curv = 2.0 * spec.mix + (1.0 - spec.mix) * curv
-    return float(value) if beta.ndim == 1 else value, grad, curv
+    curv = [2.0 * spec.mix + (1.0 - spec.mix) * c for c in curv]
+    return float(value) if beta.ndim == 1 else value, grad, *curv
 
 
 def prox_step(spec, v, step, lam):

@@ -28,21 +28,21 @@ refit that stalls resumes damped Newton with the iterations it has used.
 Smooth groups so few and large that this setup costs more flops than one
 factorization per group (K-fold with K <= 3 or so), or with a singular
 full-data Hessian, are refit one at a time by damped Newton, a block's
-groups in turn.  Every route runs its blocks in parallel lanes, one thread
-per CPU the process may use, with the same bytes for any lane count, in
-O(lanes x block) floats besides the data.
+groups in turn.  Every route runs its blocks one after another, in O(block)
+floats besides the data: the parallelism is the experiments' process pool.
 """
 
 from __future__ import annotations
 
+import glob
 import logging
 import math
 import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
+import scipy
 from scipy.linalg import LinAlgError, cho_factor, cho_solve
 from scipy.linalg.lapack import dpotri
 
@@ -61,13 +61,38 @@ _REFRESH_RATIO = 0.25
 # held-out groups refit together, as the rows of one block, by
 # fit_leave_groups_out
 _REFIT_CHUNK = 64
-# lanes (threads) that refit fit_leave_groups_out's blocks, one per CPU the
-# process may use; experiments sets its pool workers to 1
-_LANES = (
-    len(os.sched_getaffinity(0))
-    if hasattr(os, "sched_getaffinity")
-    else os.cpu_count() or 1
-)
+
+
+def _openblas(verb):
+    """{package: the get or set (verb) thread function of its OpenBLAS} for
+    numpy and scipy, from the library next to each package."""
+    import ctypes
+
+    # numpy >= 2 and scipy >= 1.13 prefix the names with scipy_; numpy's end in 64_
+    stems = ("scipy_openblas", "openblas")
+    names = [f"{stem}_{verb}_num_threads{end}" for stem in stems for end in ("64_", "")]
+    signature = {"get": ([], ctypes.c_int), "set": ([ctypes.c_int], None)}[verb]
+    found = {}
+    for module in (np, scipy):
+        for path in glob.glob(os.path.dirname(module.__file__) + ".libs/*openblas*"):
+            lib = ctypes.CDLL(path)
+            fn = next(filter(None, (getattr(lib, name, None) for name in names)), None)
+            if fn is not None:
+                fn.argtypes, fn.restype = signature
+                found[module.__name__] = fn
+    return found
+
+
+def _pin_blas(threads):
+    """Set numpy's and scipy's OpenBLAS to threads[package] threads; a package
+    without a setter keeps its own, with one warning.  cli.main sets one
+    thread each, and each experiments pool worker its parent's counts."""
+    setters = _openblas("set")
+    for name, count in threads.items():
+        if name in setters:
+            setters[name](count)
+        else:
+            log.warning("no OpenBLAS thread setter for %s: left as it is", name)
 
 
 class SolverError(RuntimeError):
@@ -642,7 +667,7 @@ def _refit_block(data, model, held, B, warm_terms, H_inv, opts):
         slope = np.einsum("ap,ap->a", grad, direction)
         cand = B + direction
         cand_loss, d1 = _block_loss(model.loss, y, cand @ X.T, at)
-        rv, rg, _ = reg_eval(model.reg, cand)
+        rv, rg = reg_eval(model.reg, cand, curvature=False)
         cand_obj, cand_grad = cand_loss + lam * rv, d1 @ X + lam * rg
         cand_gnorm = np.max(np.abs(cand_grad), axis=1, initial=0.0)
         # as in _fit_newton, a full step that passes the Armijo test is
@@ -694,13 +719,9 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
     opts.max_iter caps every refit: its batched and damped Newton steps
     together.  When _batching_pays says no, or when the full-data Hessian is
     singular, each smooth group of a chunk is refit by damped Newton from
-    warm, in turn, on the chunk's lane, as fit_leave_one_out refits it.
-    The chunks of every route run in rounds of lanes = min(_LANES, chunks)
-    threads, this one and lanes - 1 helpers; no chunk depends on the lane
-    count, nor does any FitResult, and results (or an exception) come in
-    chunk order.  A chunk of m groups of at most k rows holds
-    O(m (n + k p + k^2)) floats besides X: O((n + p) m) for LO,
-    O(n (K + p + n / K)) for K <= m folds; a round holds lanes chunks.
+    warm, in turn, as fit_leave_one_out refits it.  A chunk of m groups of
+    at most k rows holds O(m (n + k p + k^2)) floats besides X:
+    O((n + p) m) for LO, O(n (K + p + n / K)) for K <= m folds.
     """
     opts = opts or SolverOpts()
     warm = _as_coefs(data, model.loss, warm, "warm")
@@ -718,7 +739,8 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
         else:
             warm_terms = (values, d1, d2, obj_full, g_full, g_full @ H_inv)
 
-    def refit(chunk):
+    for first in range(0, len(order), _REFIT_CHUNK):
+        chunk = order[first : first + _REFIT_CHUNK]
         held = [idx for _, idx in chunk]
         B = np.tile(warm, (len(held), 1))
         if H_inv is not None:
@@ -729,20 +751,4 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
         else:
             drop = _held_out_rows(held)[2]
             results = _fista_block(data.X, data.y, model, B, drop, opts)
-        return list(zip((rows for rows, _ in chunk), results))
-
-    chunks = [order[s : s + _REFIT_CHUNK] for s in range(0, len(order), _REFIT_CHUNK)]
-    lanes = max(min(_LANES, len(chunks)), 1)
-    # no helper thread starts before a chunk is submitted, so one lane starts none
-    helpers = ThreadPoolExecutor(max(lanes - 1, 1))
-    try:
-        for first in range(0, len(chunks), lanes):
-            # this thread refits the round's first chunk, the helpers the rest
-            mine, *theirs = chunks[first : first + lanes]
-            ahead = [helpers.submit(refit, chunk) for chunk in theirs]
-            yield from refit(mine)
-            for future in ahead:
-                yield from future.result()
-    finally:
-        # a generator abandoned mid-round drops the chunks no helper has begun
-        helpers.shutdown(cancel_futures=True)
+        yield from zip((rows for rows, _ in chunk), results)

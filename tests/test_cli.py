@@ -1,10 +1,14 @@
 import json
 import os
 import shlex
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+import loorisk
 from loorisk.cli import PRESETS, load_config, main
 from loorisk.experiments import ExperimentResult
 from loorisk.reporting import to_jsonable, write_results
@@ -357,6 +361,25 @@ def test_threads_env_fallback(table2_cfg, tmp_path, monkeypatch):
     out = tmp_path / "env"
     assert main(["simulate", "table2", "--config", str(table2_cfg),
                  "--out", str(out)]) == 0
+
+
+def test_results_do_not_depend_on_the_blas_threads(tmp_path):
+    # a fresh process per run, whose OpenBLAS starts with the threads the
+    # environment asks for; at n = p = 300 two threads moved the last digits
+    config = tmp_path / "table2.cfg"
+    text = TINY_TABLE2.replace("ns = 25", "ns = 300").replace("reps = 3", "reps = 2")
+    config.write_text(text)
+    src = str(Path(loorisk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    csvs = []
+    for threads in ("1", "2"):
+        out = tmp_path / f"blas{threads}"
+        env = dict(os.environ, OPENBLAS_NUM_THREADS=threads, PYTHONPATH=path)
+        argv = ["simulate", "table2", "--config", str(config), "--out", str(out)]
+        command = [sys.executable, "-m", "loorisk.cli", *argv]
+        subprocess.run(command, env=env, check=True, capture_output=True, timeout=300)
+        csvs.append((out / "results.csv").read_bytes())
+    assert csvs[0] == csvs[1]
 
 
 @pytest.mark.parametrize("threads", ["0", "-3"])

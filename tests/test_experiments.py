@@ -1,11 +1,14 @@
 import math
+import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
+from multiprocessing import get_context
 
 import numpy as np
 import pytest
 
 from loorisk import experiments, risk, solver
+from loorisk.cli import main
 from loorisk.datagen import SimConfig
 from loorisk.experiments import (
     fit_loglog_slope,
@@ -20,6 +23,25 @@ from loorisk.solver import ModelSpec, SolverError
 
 TABLE2_MODEL = ModelSpec(LossSpec("logistic"), RegSpec("ridge"), lam=0.1)
 TABLE1_MODEL = ModelSpec(LossSpec("squared"), RegSpec("elastic_net", mix=0.5), lam=5.0)
+
+
+TINY_TABLE2_CFG = """
+[design]
+ns = 30
+p_ratio = 1
+k_ratio = 0.1
+sigma = identity/n
+family = logistic
+
+[model]
+loss = logistic
+reg = ridge
+lambda = 0.1
+
+[experiment]
+reps = 3
+seed = 5
+"""
 
 
 def tiny_table2_config(**over):
@@ -191,14 +213,15 @@ def test_parallel_replicates_match_serial():
             assert rs == rp
 
 
-def test_pool_starts_no_more_workers_than_replicates(monkeypatch):
-    # a fork pool starts all its workers at the first submit, so threads
-    # beyond the replicate count would only start idle processes
-    pools = []
+@pytest.fixture
+def pool_sizes(monkeypatch):
+    """The worker counts of the pools the studies start; each pool runs its
+    tasks in this process."""
+    sizes = []
 
     class RecordingPool:
-        def __init__(self, max_workers, initializer=None):
-            pools.append(max_workers)
+        def __init__(self, max_workers, initializer=None, initargs=()):
+            sizes.append(max_workers)
 
         def __enter__(self):
             return self
@@ -210,31 +233,67 @@ def test_pool_starts_no_more_workers_than_replicates(monkeypatch):
             return map(fn, tasks)
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", RecordingPool)
+    return sizes
+
+
+def test_pool_starts_no_more_workers_than_replicates(pool_sizes):
+    # a fork pool starts all its workers at the first submit, so threads
+    # beyond the replicate count would only start idle processes
     run_table2(tiny_table2_config(reps=2), TABLE2_MODEL, threads=10_000)
-    assert pools == [2]
+    assert pool_sizes == [2]
     run_table2(tiny_table2_config(reps=1), TABLE2_MODEL, threads=10_000)
-    assert pools == [2]  # one replicate runs serially
+    assert pool_sizes == [2]  # one replicate runs serially
 
 
-def lane_count():
-    return solver._LANES
+def test_simulate_runs_a_worker_per_usable_cpu_by_default(
+    pool_sizes, tmp_path, monkeypatch
+):
+    # without --threads or LOORISK_THREADS: min(usable CPUs, reps) workers,
+    # the CPUs from the affinity set, else from os.cpu_count
+    config = tmp_path / "table2.cfg"
+    config.write_text(TINY_TABLE2_CFG)  # reps = 3
+    argv = ["simulate", "table2", "--config", str(config)]
+    monkeypatch.delenv("LOORISK_THREADS", raising=False)
+    for cpus in (8, 2, 1):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)))
+        assert main(argv) == 0
+    assert pool_sizes == [3, 2]  # one CPU runs serially
+    # the variable wins over the CPUs, and the flag over both
+    monkeypatch.setenv("LOORISK_THREADS", "2")
+    assert main(argv) == 0
+    assert main(argv + ["--threads", "3"]) == 0
+    assert pool_sizes == [3, 2, 2, 3]
+    monkeypatch.delenv("LOORISK_THREADS")
+    monkeypatch.delattr(os, "sched_getaffinity")
+    monkeypatch.setattr(os, "cpu_count", lambda: 2)
+    assert main(argv) == 0
+    assert pool_sizes == [3, 2, 2, 3, 2]
 
 
-def test_pool_workers_refit_on_one_lane(monkeypatch):
-    # the pool is the parallelism: its workers' refit engines run one lane
-    # each, while a serial study's engine keeps every lane
-    monkeypatch.setattr(solver, "_LANES", 2)
-    worker_lanes = []
+def blas_threads():
+    return {name: get() for name, get in solver._openblas("get").items()}
+
+
+def test_pool_workers_take_the_blas_threads_of_the_starting_process(monkeypatch):
+    # serial and pooled runs compute alike: a spawned worker, which would
+    # start with OpenBLAS's own thread counts, takes this process's
+    counts, worker_counts = ({"numpy": 1, "scipy": 1}, {"numpy": 2, "scipy": 1}), []
 
     class ProbedPool(ProcessPoolExecutor):
         def __init__(self, *args, **kwargs):
-            super().__init__(*args, **kwargs)
-            worker_lanes.append(self.submit(lane_count))
+            super().__init__(*args, mp_context=get_context("spawn"), **kwargs)
+            worker_counts.append(self.submit(blas_threads))
 
     monkeypatch.setattr(experiments, "ProcessPoolExecutor", ProbedPool)
-    run_table2(tiny_table2_config(reps=2), TABLE2_MODEL, threads=2)
-    assert [lanes.result(timeout=60) for lanes in worker_lanes] == [1]
-    assert solver._LANES == 2
+    before = blas_threads()
+    assert set(before) == {"numpy", "scipy"}
+    try:
+        for threads in counts:
+            solver._pin_blas(threads)
+            run_table2(tiny_table2_config(reps=2), TABLE2_MODEL, threads=2)
+    finally:
+        solver._pin_blas(before)
+    assert tuple(future.result(timeout=120) for future in worker_counts) == counts
 
 
 def test_figure1_names_the_replicate_of_a_failing_refit(monkeypatch):

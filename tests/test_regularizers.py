@@ -46,6 +46,17 @@ def test_smoothed_elastic_net_finite_differences():
         assert fd_hess == pytest.approx(hess[j], rel=1e-4)
 
 
+@pytest.mark.parametrize("spec", [RegSpec("ridge"), SEN], ids=["ridge", "sen"])
+def test_reg_eval_without_curvature_is_its_value_and_gradient(spec):
+    beta = np.linspace(-3.0, 3.0, 12).reshape(3, 4)
+    for b in (beta, beta[0]):
+        value, grad, _ = reg_eval(spec, b)
+        terms = reg_eval(spec, b, curvature=False)
+        assert len(terms) == 2
+        assert np.asarray(terms[0]).tobytes() == np.asarray(value).tobytes()
+        assert terms[1].tobytes() == grad.tobytes()
+
+
 def test_smoothed_elastic_net_eval_is_one_parts_call(monkeypatch):
     # reg_eval's value and curvature are reg_value's and reg_curvature_diag's
     # to the bit, and its gradient is 2 mix b + (1 - mix) tanh(s b / 2), all
@@ -57,9 +68,9 @@ def test_smoothed_elastic_net_eval_is_one_parts_call(monkeypatch):
     calls = []
     terms = regularizers._loss_terms
 
-    def counted(spec, y, z):
+    def counted(spec, y, z, curvature=True):
         calls.append(1)
-        return terms(spec, y, z)
+        return terms(spec, y, z, curvature)
 
     for beta in (grid, block):
         value, grad, curv = reg_eval(SEN, beta)

@@ -1,4 +1,3 @@
-import threading
 
 import numpy as np
 import pytest
@@ -543,7 +542,7 @@ def test_inverse_from_the_factor_matches_numpy():
     assert np.max(np.abs(H_inv - reference)) <= 1e-12 * np.max(np.abs(reference))
 
 
-def lane_instance(family, n, p):
+def engine_instance(family, n, p):
     loss, response = {
         "squared": (LossSpec("squared"), "linear"),
         "logistic": (LossSpec("logistic"), "logistic"),
@@ -551,20 +550,6 @@ def lane_instance(family, n, p):
     X = gen_design(n, p, CovSpec("scaled_identity", 1.0 / p), n + p)
     beta = gen_beta_star(p, p // 2, "laplace_unit", n + p)
     return Dataset(X, gen_response(X, beta, response, n + p, noise_var=1.0)), loss
-
-
-# family, n, p, regularizer, folds (None: leave one out); each makes at
-# least two chunks of _REFIT_CHUNK groups
-LANE_CASES = {
-    "ridge_lo": ("logistic", 140, 30, RegSpec("ridge"), None),
-    "ridge_many_folds": ("logistic", 200, 40, RegSpec("ridge"), 100),
-    "smoothed_elastic_net_lo": (
-        "squared", 150, 40,
-        RegSpec("smoothed_elastic_net", mix=0.5, smooth_sharpness=10.0), None,
-    ),
-    "l1_lo": ("squared", 130, 60, RegSpec("l1"), None),
-    "elastic_net_lo": ("squared", 140, 60, RegSpec("elastic_net", mix=0.5), None),
-}
 
 
 def exact(rows, res):
@@ -575,67 +560,6 @@ def exact(rows, res):
     )
 
 
-def run_in_lanes(monkeypatch, lanes, data, model, groups, warm):
-    """Each FitResult of the engine on this many lanes, as exact values, with
-    the threads that ran its blocks (or its one-at-a-time refits) and the
-    number of calls to _fit_newton."""
-    threads, hand_overs = set(), []
-    with monkeypatch.context() as m:
-        m.setattr(solver, "_LANES", lanes)
-        for name in ("_refit_block", "_fista_block", "_fit_newton"):
-            def recording(*args, _real=getattr(solver, name), _name=name, **kwargs):
-                if _name == "_fit_newton":
-                    hand_overs.append(1)
-                threads.add(threading.get_ident())
-                return _real(*args, **kwargs)
-
-            m.setattr(solver, name, recording)
-        results = [
-            exact(rows, res)
-            for rows, res in fit_leave_groups_out(data, model, groups, warm)
-        ]
-    return results, threads, len(hand_overs)
-
-
-@pytest.mark.parametrize("case", list(LANE_CASES))
-def test_lane_count_leaves_every_fit_result_unchanged(monkeypatch, case):
-    family, n, p, reg, folds = LANE_CASES[case]
-    data, loss = lane_instance(family, n, p)
-    model = ModelSpec(loss, reg, lam=1.0)
-    warm = fit(data, model).beta_hat
-    groups = range(n)
-    if folds is not None:
-        labels = fold_assignments(n, folds, seed=5)
-        groups = [np.flatnonzero(labels == fold) for fold in range(folds)]
-    one, one_threads, one_hand_overs = run_in_lanes(monkeypatch, 1, data, model, groups, warm)
-    two, two_threads, two_hand_overs = run_in_lanes(monkeypatch, 2, data, model, groups, warm)
-    assert len(one) == len(groups) > solver._REFIT_CHUNK
-    assert (len(one_threads), len(two_threads)) == (1, 2)
-    assert one == two
-    assert one_hand_overs == two_hand_overs
-    if case == "smoothed_elastic_net_lo":
-        assert one_hand_overs > 0
-
-
-def test_one_at_a_time_refits_run_on_the_lanes(monkeypatch):
-    # when batching does not pay, each smooth group of a chunk is refit by
-    # _fit_newton; those chunks run on the lanes like the blocks, with
-    # the same FitResults for any lane count
-    data, loss = lane_instance("logistic", 140, 30)
-    model = ModelSpec(loss, RegSpec("ridge"), lam=1.0)
-    warm = fit(data, model).beta_hat
-    monkeypatch.setattr(solver, "_batching_pays", lambda *args: False)
-    groups = range(data.n)
-    one, one_threads, one_fits = run_in_lanes(monkeypatch, 1, data, model, groups, warm)
-    two, two_threads, two_fits = run_in_lanes(monkeypatch, 2, data, model, groups, warm)
-    assert len(one) == data.n > solver._REFIT_CHUNK
-    assert (len(one_threads), len(two_threads)) == (1, 2)
-    assert one == two
-    assert one_fits == two_fits == data.n
-    alone = fit_leave_one_out(data, model, 0, warm=warm)
-    assert one[0][1] == alone.beta_hat.tobytes()
-
-
 @pytest.mark.parametrize("case", ["stalled_lo", "two_folds", "singular_lo"])
 def test_the_engine_runs_without_its_reference(monkeypatch, case):
     # fit_leave_one_out is the reference the engine is compared against, so
@@ -644,11 +568,14 @@ def test_the_engine_runs_without_its_reference(monkeypatch, case):
     # singular full-data Hessian all converge, the last two bit for bit as
     # the reference
     family, n, p, reg = {
-        "stalled_lo": LANE_CASES["smoothed_elastic_net_lo"][:4],
+        "stalled_lo": (
+            "squared", 150, 40,
+            RegSpec("smoothed_elastic_net", mix=0.5, smooth_sharpness=10.0),
+        ),
         "two_folds": ("logistic", 140, 30, RegSpec("ridge")),
         "singular_lo": ("logistic", 140, 30, RegSpec("ridge")),
     }[case]
-    data, loss = lane_instance(family, n, p)
+    data, loss = engine_instance(family, n, p)
     model = ModelSpec(loss, reg, lam=1.0)
     warm = fit(data, model).beta_hat
     groups = range(n)
@@ -662,58 +589,27 @@ def test_the_engine_runs_without_its_reference(monkeypatch, case):
     def singular(factor):
         raise LinAlgError("singular")
 
+    hand_overs, real_newton = [], solver._fit_newton
+
+    def counted_newton(*args, **kwargs):
+        hand_overs.append(1)
+        return real_newton(*args, **kwargs)
+
     with monkeypatch.context() as m:
         m.setattr(solver, "fit_leave_one_out", broken)
+        m.setattr(solver, "_fit_newton", counted_newton)
         if case == "singular_lo":
             m.setattr(solver, "_factor_inverse", singular)
-        results, _, newton_calls = run_in_lanes(m, 2, data, model, groups, warm)
+        results = [
+            exact(rows, res)
+            for rows, res in fit_leave_groups_out(data, model, groups, warm)
+        ]
     assert len(results) == len(groups)
     assert all(converged for *_, converged in results)
     if case == "stalled_lo":
-        assert newton_calls > 0
+        assert hand_overs
     else:
         assert results == [
             exact(rows, fit_leave_one_out(data, model, rows, warm=warm))
             for rows in groups
         ]
-
-
-def test_a_helper_lane_error_surfaces_unchanged_in_chunk_order(monkeypatch):
-    # this thread refits chunk 0, helpers chunks 1 and 2; chunk 2 fails
-    # first, yet chunk 0's refits come out, then chunk 1's error itself
-    data = lane_instance("squared", 150, 5)[0]
-    warm = fit(data, RIDGE_SQ).beta_hat
-    errors = {64: RuntimeError("chunk 1"), 128: RuntimeError("chunk 2")}
-    chunk_2_failed = threading.Event()
-    real_block = solver._refit_block
-
-    def failing_block(data, model, held, *args):
-        first = int(held[0][0])
-        if first == 64:
-            assert chunk_2_failed.wait(timeout=60)
-        if first == 128:
-            chunk_2_failed.set()
-        if first in errors:
-            raise errors[first]
-        return real_block(data, model, held, *args)
-
-    monkeypatch.setattr(solver, "_refit_block", failing_block)
-    monkeypatch.setattr(solver, "_LANES", 3)
-    yielded = []
-    with pytest.raises(RuntimeError) as caught:
-        for rows, _ in fit_leave_groups_out(data, RIDGE_SQ, range(data.n), warm):
-            yielded.append(rows)
-    assert caught.value is errors[64]
-    assert yielded == list(range(64))
-
-
-def test_an_abandoned_engine_leaves_no_helper_thread(monkeypatch):
-    data = lane_instance("squared", 200, 5)[0]
-    warm = fit(data, RIDGE_SQ).beta_hat
-    monkeypatch.setattr(solver, "_LANES", 2)
-    before = threading.active_count()
-    refits = fit_leave_groups_out(data, RIDGE_SQ, range(data.n), warm)
-    next(refits)
-    assert threading.active_count() == before + 1
-    refits.close()
-    assert threading.active_count() == before
