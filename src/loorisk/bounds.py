@@ -52,11 +52,16 @@ class BoundReport:
     audit: AssumptionAudit | None = None
 
 
+def _check(rule, **values):
+    """Raise ValueError naming the first value that is not finite and rule."""
+    for name, value in values.items():
+        if not (0 < value < np.inf or (rule == "nonnegative" and value == 0)):
+            raise ValueError(f"{name} = {value} must be {rule} and finite")
+
+
 def compute_Cb(c0, c1, rho, delta, nu):
     """Bias constant (c0 c1 rho sqrt(delta) / nu)^2."""
-    for name, value in (("c0", c0), ("c1", c1), ("rho", rho), ("delta", delta), ("nu", nu)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive")
+    _check("positive", c0=c0, c1=c1, rho=rho, delta=delta, nu=nu)
     return (c0 * c1 * rho * np.sqrt(delta) / nu) ** 2
 
 
@@ -67,16 +72,15 @@ def compute_Cb_tilde(c1, rho, delta, ell_dot_8th, inv_sigma_min_8th, x_norm_4th)
     come from AssumptionAudit.tilde_moments and the result is an estimate,
     never a certified bound.
     """
-    for name, value in (
-        ("c1", c1),
-        ("rho", rho),
-        ("delta", delta),
-        ("ell_dot_8th", ell_dot_8th),
-        ("inv_sigma_min_8th", inv_sigma_min_8th),
-        ("x_norm_4th", x_norm_4th),
-    ):
-        if value < 0:
-            raise ValueError(f"{name} must be nonnegative")
+    _check(
+        "nonnegative",
+        c1=c1,
+        rho=rho,
+        delta=delta,
+        ell_dot_8th=ell_dot_8th,
+        inv_sigma_min_8th=inv_sigma_min_8th,
+        x_norm_4th=x_norm_4th,
+    )
     return c1**2 * rho * delta * ell_dot_8th * inv_sigma_min_8th * x_norm_4th
 
 
@@ -85,24 +89,30 @@ def compute_Cv_from_parts(E_var, C_b):
 
     C_v = E_var + 2 C_b + 2 sqrt(C_b) sqrt(E_var + C_b).
     """
-    if E_var < 0 or C_b < 0:
-        raise ValueError("E_var and C_b must be nonnegative")
+    _check("nonnegative", E_var=E_var, C_b=C_b)
     return E_var + 2.0 * C_b + 2.0 * np.sqrt(C_b) * np.sqrt(E_var + C_b)
 
 
-def compute_Cv_logistic(rho, delta, lam):
-    """Ridge-logistic variance constant, printed formula.
+def _ridge_logistic_report(rho, delta, lam, n=None):
+    """The ridge-logistic bound, the one place its constants are written.
 
-    compute_Cv_from_parts with E_var = 6 + 5 rho delta / lam and the bias
-    constant at c0 = c1 = 2 (the logistic loss_derivative_bound), nu = lam:
-    C_b = (4 rho sqrt(delta) / lam)^2.
+    c0 = c1 = 2 (the logistic loss_derivative_bound), nu = lam, C_b =
+    (4 rho sqrt(delta) / lam)^2, C_v at E_var = 6 + 5 rho delta / lam, and
+    bound_over_n = C_v / n, NaN without n.
     """
-    for name, value in (("rho", rho), ("delta", delta), ("lam", lam)):
-        if not value > 0:
-            raise ValueError(f"{name} must be positive")
+    _check("positive", rho=rho, delta=delta, lam=lam)
     c = loss_derivative_bound(LossSpec("logistic"))
-    e_var = 6.0 + 5.0 * rho * delta / lam
-    return compute_Cv_from_parts(e_var, compute_Cb(c, c, rho, delta, lam))
+    C_b = compute_Cb(c, c, rho, delta, lam)
+    C_v = compute_Cv_from_parts(6.0 + 5.0 * rho * delta / lam, C_b)
+    bound_over_n = C_v / n if n is not None else float("nan")
+    return BoundReport(
+        rho, delta, c0=c, c1=c, nu=lam, C_b=C_b, C_v=C_v, bound_over_n=bound_over_n
+    )
+
+
+def compute_Cv_logistic(rho, delta, lam):
+    """Ridge-logistic variance constant: C_v of _ridge_logistic_report."""
+    return _ridge_logistic_report(rho, delta, lam).C_v
 
 
 def pick_audit_indices(n, count=25):
@@ -172,8 +182,7 @@ def check_perturb_lemma(data, model, full_fit, loo_fits, nu_emp):
     for every audited row; slack is rhs - lhs (equality cases get a tiny
     tolerance).
     """
-    if not nu_emp > 0:
-        raise ValueError("nu_emp must be positive")
+    _check("positive", nu_emp=nu_emp)
     beta = np.asarray(full_fit.beta_hat, dtype=float)
     audited = sorted(loo_fits)
     z = np.array([data.X[i] @ beta for i in audited], dtype=float)

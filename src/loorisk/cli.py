@@ -26,10 +26,10 @@ import numpy as np
 from . import __version__
 from .bounds import (
     BoundReport,
+    _ridge_logistic_report,
     audit_assumptions,
     check_perturb_lemma,
     compute_Cb,
-    compute_Cv_logistic,
     pick_audit_indices,
 )
 from .datagen import SimConfig
@@ -240,24 +240,11 @@ def _cmd_risk(args):
 def _cmd_bounds(args):
     if args.n is not None and args.n < 1:
         raise UsageError(f"--n: n = {args.n} must be >= 1")
-    c0 = c1 = loss_derivative_bound(LossSpec("logistic"))
-    nu = args.lam
     with _refused("--rho, --delta or --lambda", UsageError):
-        C_v = compute_Cv_logistic(args.rho, args.delta, args.lam)
-    C_b = compute_Cb(c0, c1, args.rho, args.delta, nu)
-    report = BoundReport(
-        rho=args.rho,
-        delta=args.delta,
-        c0=c0,
-        c1=c1,
-        nu=nu,
-        C_b=C_b,
-        C_v=C_v,
-        bound_over_n=C_v / args.n if args.n is not None else float("nan"),
-    )
-    lines = [f"C_b = {C_b:.10g}", f"C_v = {C_v:.10g}"]
+        report = _ridge_logistic_report(args.rho, args.delta, args.lam, args.n)
+    lines = [f"C_b = {report.C_b:.10g}", f"C_v = {report.C_v:.10g}"]
     if args.n is not None:
-        lines.append(f"C_v / n = {C_v / args.n:.10g} at n = {args.n}")
+        lines.append(f"C_v / n = {report.bound_over_n:.10g} at n = {args.n}")
     _emit(report, args, lines)
     return 0
 
@@ -269,12 +256,14 @@ def _cmd_audit(args):
     loo = dict(refits(data, model, indices, full, opts))
     with _refused("--t-grid", UsageError):
         audit = audit_assumptions(data, model, full, loo, t_grid_size=args.t_grid)
-    perturb = check_perturb_lemma(data, model, full, loo, audit.nu_emp)
     n, p = data.n, data.p
     rho = cov.rho(p)
     bound_c0 = loss_derivative_bound(model.loss)
     c0 = bound_c0 if bound_c0 is not None else audit.c0_emp
-    C_b = compute_Cb(c0, c0, rho, n / p, audit.nu_emp)
+    # a singular segment Hessian leaves a curvature floor of 0 up to rounding
+    with _refused("audit", np.linalg.LinAlgError):
+        perturb = check_perturb_lemma(data, model, full, loo, audit.nu_emp)
+        C_b = compute_Cb(c0, c0, rho, n / p, audit.nu_emp)
     report = BoundReport(
         rho=rho,
         delta=n / p,

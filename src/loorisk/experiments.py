@@ -15,7 +15,7 @@ from dataclasses import dataclass, replace
 
 import numpy as np
 
-from .bounds import compute_Cv_logistic
+from .bounds import _ridge_logistic_report
 from .datagen import SimConfig, derive_seed, gen_replicate
 from .oracles import TrueModel, err_out_linear, err_out_logistic
 from .risk import kfold_cv, lo_exact
@@ -98,9 +98,9 @@ def _fitted_replicate(config, model, n, rep, opts=None):
 
 
 def _replicate(task):
-    """Oracle error, LO and (figure1) K-fold estimates of one replicate.
+    """K-fold (figure1), LO and oracle values of one replicate, keyed in row order.
 
-    All values are in phi units; a SolverError names the replicate (n, rep).
+    LO refits before K-fold; values are in phi units; a SolverError names (n, rep).
     """
     kind, config, model, n, rep, opts = task
     try:
@@ -113,11 +113,12 @@ def _replicate(task):
             # phi is the half squared error; the closed form is full-square
             oracle = 0.5 * err_out_linear(full.beta_hat, truth)
         lo = lo_exact(data, model, opts, full_fit=full)
-        out = {"oracle": oracle, "lo_exact": lo.estimate}
+        out = {}
         for K in config.k_folds if kind == "figure1" else ():
             fold_seed = derive_seed(config.seed, n, rep, K)
             cv = kfold_cv(data, model, K, fold_seed, opts, full_fit=full)
             out[f"kfold{K}"] = cv.estimate
+        out.update(lo_exact=lo.estimate, oracle=oracle)
     except SolverError as exc:
         raise SolverError(f"{exc} (n={n}, rep={rep})") from exc
     return out
@@ -127,11 +128,10 @@ def _cell_rows(kind, config, model, n, results, wall_time):
     """Rows of one cell: the LO MSE for a table, each estimator's mean for figure1."""
     p = config.p_for(n)
     if kind == "figure1":
-        names = [f"kfold{K}" for K in config.k_folds] + ["lo_exact", "oracle"]
         # the replicates hold half squared errors; report the full square
         stats = {
             name: _mean_se(np.array([2.0 * r[name] for r in results]))
-            for name in names
+            for name in results[0]
         }
     else:
         oracle = [r["oracle"] for r in results]
@@ -139,7 +139,7 @@ def _cell_rows(kind, config, model, n, results, wall_time):
     bound_over_n = None
     if kind == "table2":
         rho = config.sigma_for(n).rho(p)
-        bound_over_n = compute_Cv_logistic(rho, n / p, model.lam) / n
+        bound_over_n = _ridge_logistic_report(rho, n / p, model.lam, n).bound_over_n
     return [
         {
             "n": n,

@@ -199,3 +199,22 @@ def test_argument_validation():
         compute_Cv_logistic(1, 1, 0)
     with pytest.raises(ValueError):
         compute_Cv_from_parts(-1.0, 0.0)
+
+    # NaN and +-inf used to pass the sign checks and come out as nan or inf
+    for function, good, names in (
+        (compute_Cb, (2, 2, 1, 1, 0.1), ("c0", "c1", "rho", "delta", "nu")),
+        (
+            compute_Cb_tilde,
+            (2, 1, 1, 1, 1, 1),
+            ("c1", "rho", "delta", "ell_dot_8th", "inv_sigma_min_8th", "x_norm_4th"),
+        ),
+        (compute_Cv_from_parts, (56.0, 1600.0), ("E_var", "C_b")),
+        (compute_Cv_logistic, (1, 1, 0.1), ("rho", "delta", "lam")),
+    ):
+        assert np.isfinite(function(*good))
+        for position, name in enumerate(names):
+            for bad in (np.nan, np.inf, -np.inf):
+                args = list(good)
+                args[position] = bad
+                with pytest.raises(ValueError, match=rf"^{name} = {bad} must be"):
+                    function(*args)

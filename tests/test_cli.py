@@ -3,12 +3,14 @@ import os
 import shlex
 import subprocess
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 import loorisk
+import loorisk.cli
 from loorisk.cli import PRESETS, load_config, main
 from loorisk.experiments import ExperimentResult
 from loorisk.reporting import to_jsonable, write_results
@@ -84,6 +86,23 @@ def test_bounds_prints_constants(capsys):
     assert "C_v = 6511.518" in out
 
 
+def test_bounds_writes_the_ridge_logistic_report(tmp_path):
+    out = tmp_path / "bounds"
+    argv = ["bounds", "--rho", "1", "--delta", "1", "--lambda", "0.1", "--n", "100"]
+    assert main(argv + ["--out", str(out)]) == 0
+    assert (out / "results.csv").read_text().splitlines() == [
+        "quantity,value",
+        "rho,1",
+        "delta,1",
+        "c0,2",
+        "c1,2",
+        "nu,0.10000000000000001",
+        "C_b,1600",
+        "C_v,6511.5183919001283",
+        "bound_over_n,65.115183919001282",
+    ]
+
+
 def test_unknown_subcommand_exits_2():
     assert main(["no-such-command"]) == 2
 
@@ -147,6 +166,26 @@ def test_audit_subcommand(lo_cfg, tmp_path):
     assert main(["audit", "--config", str(lo_cfg), "--out", str(out)]) == 0
     report = json.loads((out / "report.json").read_text())
     assert report["audit"]["nu_emp"] >= 0.5 - 1e-9
+
+
+@pytest.mark.parametrize("nu_emp", [0.0, -1e-15])
+def test_audit_with_a_curvature_floor_that_is_not_positive_exits_1(
+    lo_cfg, tmp_path, capsys, monkeypatch, nu_emp
+):
+    # a singular segment Hessian's smallest eigenvalue is 0 up to rounding, of
+    # either sign; this used to end in a ValueError traceback
+    audit = loorisk.cli.audit_assumptions
+    monkeypatch.setattr(
+        loorisk.cli,
+        "audit_assumptions",
+        lambda *args, **kw: replace(audit(*args, **kw), nu_emp=nu_emp),
+    )
+    out = tmp_path / "audit"
+    assert main(["audit", "--config", str(lo_cfg), "--out", str(out)]) == 1
+    err = capsys.readouterr().err
+    assert err.startswith("numerical failure: ") and err.count("\n") == 1
+    assert f"nu_emp = {nu_emp}" in err
+    assert not out.exists()
 
 
 def test_report_json_round_trip(lo_cfg, tmp_path):
@@ -548,6 +587,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, extra, message):
         (["bounds", "--rho", "1", "--delta", "1", "--lambda", "-1"], "--lambda"),
         (["bounds", "--rho", "1", "--delta", "1", "--lambda", "1", "--n", "0"], "--n"),
         (["bounds", "--rho", "1", "--delta", "1", "--lambda", "1", "--n", "-5"], "--n"),
+        (["bounds", "--rho", "inf", "--delta", "1", "--lambda", "1"], "rho = inf"),
+        (["bounds", "--rho", "1", "--delta", "inf", "--lambda", "1"], "delta = inf"),
+        (["bounds", "--rho", "1", "--delta", "1", "--lambda", "inf"], "lam = inf"),
     ],
     ids=[
         "k_1",
@@ -562,6 +604,9 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, extra, message):
         "lambda_negative",
         "n_0",
         "n_negative",
+        "rho_inf",
+        "delta_inf",
+        "lambda_inf",
     ],
 )
 def test_flag_value_the_library_refuses_exits_2(lo_cfg, capsys, argv, flag):
