@@ -59,10 +59,21 @@ def _check(rule, **values):
             raise ValueError(f"{name} = {value} must be {rule} and finite")
 
 
+def _checked(name, compute):
+    """compute() with overflow silenced; ValueError names a result not finite."""
+    with np.errstate(over="ignore", invalid="ignore"):
+        try:
+            value = compute()
+        except OverflowError:  # Python's float power raises where numpy gives inf
+            value = np.inf
+    _check("nonnegative", **{name: value})
+    return value
+
+
 def compute_Cb(c0, c1, rho, delta, nu):
     """Bias constant (c0 c1 rho sqrt(delta) / nu)^2."""
     _check("positive", c0=c0, c1=c1, rho=rho, delta=delta, nu=nu)
-    return (c0 * c1 * rho * np.sqrt(delta) / nu) ** 2
+    return _checked("C_b", lambda: (c0 * c1 * rho * np.sqrt(delta) / nu) ** 2)
 
 
 def compute_Cb_tilde(c1, rho, delta, ell_dot_8th, inv_sigma_min_8th, x_norm_4th):
@@ -81,7 +92,10 @@ def compute_Cb_tilde(c1, rho, delta, ell_dot_8th, inv_sigma_min_8th, x_norm_4th)
         inv_sigma_min_8th=inv_sigma_min_8th,
         x_norm_4th=x_norm_4th,
     )
-    return c1**2 * rho * delta * ell_dot_8th * inv_sigma_min_8th * x_norm_4th
+    return _checked(
+        "C_b_tilde",
+        lambda: c1**2 * rho * delta * ell_dot_8th * inv_sigma_min_8th * x_norm_4th,
+    )
 
 
 def compute_Cv_from_parts(E_var, C_b):
@@ -90,7 +104,9 @@ def compute_Cv_from_parts(E_var, C_b):
     C_v = E_var + 2 C_b + 2 sqrt(C_b) sqrt(E_var + C_b).
     """
     _check("nonnegative", E_var=E_var, C_b=C_b)
-    return E_var + 2.0 * C_b + 2.0 * np.sqrt(C_b) * np.sqrt(E_var + C_b)
+    return _checked(
+        "C_v", lambda: E_var + 2.0 * C_b + 2.0 * np.sqrt(C_b) * np.sqrt(E_var + C_b)
+    )
 
 
 def _ridge_logistic_report(rho, delta, lam, n=None):

@@ -97,49 +97,54 @@ def _fitted_replicate(config, model, n, rep, opts=None):
     return data, beta_star, cov, full
 
 
-def _replicate(task):
-    """K-fold (figure1), LO and oracle values of one replicate, keyed in row order.
+def _half_linear(beta_hat, truth):
+    """The linear oracle in phi units: phi is the half squared error."""
+    return 0.5 * err_out_linear(beta_hat, truth)
 
-    LO refits before K-fold; values are in phi units; a SolverError names (n, rep).
-    """
+
+# response family, regularizer (None: any), error-function loss (the one its
+# oracle scores), oracle in phi units and bound report (None: no bound column)
+_STUDIES = {
+    "table1": ("linear", "elastic_net", "squared", _half_linear, None),
+    "table2": (
+        "logistic", "ridge", "logistic", err_out_logistic, _ridge_logistic_report
+    ),
+    "figure1": ("linear", None, "squared", _half_linear, None),
+}
+
+
+def _replicate(task):
+    """One replicate's values, in row order, that its cell's rows average: LO's
+    squared error against the oracle for a table; for figure1 K-fold, LO (which
+    refits first) and the oracle, doubled to full-square units.  A SolverError
+    names (n, rep)."""
     kind, config, model, n, rep, opts = task
     try:
         data, beta_star, cov, full = _fitted_replicate(config, model, n, rep, opts)
-        if kind == "table2":
-            truth = TrueModel(beta_star, cov, family="logistic")
-            oracle = err_out_logistic(full.beta_hat, truth)
-        else:
-            truth = TrueModel(beta_star, cov, noise_var=config.noise_var)
-            # phi is the half squared error; the closed form is full-square
-            oracle = 0.5 * err_out_linear(full.beta_hat, truth)
-        lo = lo_exact(data, model, opts, full_fit=full)
+        truth = TrueModel(beta_star, cov, config.noise_var, config.family)
+        oracle = _STUDIES[kind][3](full.beta_hat, truth)
+        lo = lo_exact(data, model, opts, full_fit=full).estimate
+        if kind != "figure1":
+            d = oracle - lo
+            return {"lo_exact": d * d}
         out = {}
-        for K in config.k_folds if kind == "figure1" else ():
+        for K in config.k_folds:
             fold_seed = derive_seed(config.seed, n, rep, K)
             cv = kfold_cv(data, model, K, fold_seed, opts, full_fit=full)
-            out[f"kfold{K}"] = cv.estimate
-        out.update(lo_exact=lo.estimate, oracle=oracle)
+            out[f"kfold{K}"] = 2.0 * cv.estimate
+        out.update(lo_exact=2.0 * lo, oracle=2.0 * oracle)
     except SolverError as exc:
         raise SolverError(f"{exc} (n={n}, rep={rep})") from exc
     return out
 
 
 def _cell_rows(kind, config, model, n, results, wall_time):
-    """Rows of one cell: the LO MSE for a table, each estimator's mean for figure1."""
-    p = config.p_for(n)
-    if kind == "figure1":
-        # the replicates hold half squared errors; report the full square
-        stats = {
-            name: _mean_se(np.array([2.0 * r[name] for r in results]))
-            for name in results[0]
-        }
-    else:
-        oracle = [r["oracle"] for r in results]
-        stats = {"lo_exact": mse_of_estimator(oracle, [r["lo_exact"] for r in results])}
-    bound_over_n = None
-    if kind == "table2":
+    """Rows of one cell, each the mean and SE of one replicate value."""
+    p, report, bound_over_n = config.p_for(n), _STUDIES[kind][4], None
+    if report is not None:
         rho = config.sigma_for(n).rho(p)
-        bound_over_n = _ridge_logistic_report(rho, n / p, model.lam, n).bound_over_n
+        bound_over_n = report(rho, n / p, model.lam, n).bound_over_n
+    stats = {k: _mean_se(np.array([r[k] for r in results])) for k in results[0]}
     return [
         {
             "n": n,
@@ -156,17 +161,12 @@ def _cell_rows(kind, config, model, n, results, wall_time):
 
 
 def _run_study(kind, config, model, opts, threads):
-    """Every cell of a study on a pool of min(threads, reps) processes (serial for 1).
-
-    A table cell is one n; a figure1 cell is one lambda at the first n.  The
-    pool is the one parallel layer; its workers take this process's BLAS threads.
-    """
+    """Every cell (n, lambda), lambda over lambdas or the model's, on a pool of
+    min(threads, reps) processes, serial for one.  The pool is the one parallel
+    layer; its workers take this process's BLAS threads."""
     check_study(kind, config, model)
-    if kind == "figure1":
-        lambdas = config.lambdas or (model.lam,)
-        cells = [(config.ns[0], replace(model, lam=lam)) for lam in lambdas]
-    else:
-        cells = [(n, model) for n in config.ns]
+    lambdas = config.lambdas or (model.lam,)
+    cells = [(n, replace(model, lam=lam)) for n in config.ns for lam in lambdas]
     workers = min(threads or 1, config.reps)
     parallel, pool, rows = workers > 1, nullcontext(), []
     if parallel:
@@ -180,36 +180,33 @@ def _run_study(kind, config, model, opts, threads):
             results = list(run(_replicate, tasks))
             wall = time.perf_counter() - start
             rows += _cell_rows(kind, config, cell_model, n, results, wall)
-    slope_fit = None
-    if kind != "figure1" and len(config.ns) >= 3:
-        slope_fit = fit_loglog_slope(config.ns, [row["mse"] for row in rows])
+    mses = [row["mse"] for row in rows]
+    slope_fit = fit_loglog_slope(config.ns, mses) if len(config.ns) >= 3 else None
     return ExperimentResult(kind, rows, slope_fit, config)
 
 
-# response family, regularizer (None: any) and error-function loss of each
-# study; the loss is the one its oracle scores
-_STUDIES = {
-    "table1": ("linear", "elastic_net", "squared"),
-    "table2": ("logistic", "ridge", "logistic"),
-    "figure1": ("linear", None, "squared"),
-}
-
-
 def check_study(kind, config, model):
-    """Raise ValueError when config and model do not fit the study kind."""
-    family, reg, phi = _STUDIES[kind]
+    """Raise ValueError when config and model do not fit the study kind,
+    or carry input it would not read: k_folds, lambdas, a second n."""
+    family, reg, phi, _, _ = _STUDIES[kind]
     if config.family != family:
         raise ValueError(f"{kind} requires the {family} family")
     if reg is not None and model.reg.family != reg:
         raise ValueError(f"{kind} requires the {reg} regularizer")
     if model.phi_spec.family != phi:
         raise ValueError(f"{kind} requires the {phi} loss as its error function")
-    if kind == "figure1":
-        if not config.k_folds:
-            raise ValueError("figure1 requires a nonempty k_folds list")
-        n = config.ns[0]
-        if not all(2 <= K <= n for K in config.k_folds):
-            raise ValueError(f"figure1 requires 2 <= K <= n = {n} for every K")
+    if not 0 <= config.noise_var < np.inf:
+        raise ValueError(f"{kind} requires 0 <= noise_var < inf for its oracle")
+    if kind != "figure1":
+        for key in ("k_folds", "lambdas"):
+            if getattr(config, key) is not None:
+                raise ValueError(f"{kind} does not use {key}; only figure1 does")
+    elif len(config.ns) != 1:
+        raise ValueError(f"figure1 runs one n; got ns = {config.ns}")
+    elif not config.k_folds:
+        raise ValueError("figure1 requires a nonempty k_folds list")
+    elif not all(2 <= K <= config.ns[0] for K in config.k_folds):
+        raise ValueError(f"figure1 requires 2 <= K <= n = {config.ns[0]} for every K")
 
 
 def run_table1(config, model, opts=None, threads=1):

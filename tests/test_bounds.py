@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 
@@ -218,3 +220,16 @@ def test_argument_validation():
                 args[position] = bad
                 with pytest.raises(ValueError, match=rf"^{name} = {bad} must be"):
                     function(*args)
+
+    # finite arguments whose constant overflows: refused by the result's
+    # name, with no floating-point warning (NumPy) or OverflowError (Python)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for function, args, name in (
+            (compute_Cb, (1e200, 1e200, 1, 1, 1), "C_b"),
+            (compute_Cb_tilde, (1e200, 1e200, 1, 1, 1, 1), "C_b_tilde"),
+            (compute_Cv_from_parts, (1e308, 1e308), "C_v"),
+            (compute_Cv_logistic, (1e200, 1e200, 1e-200), "C_b"),
+        ):
+            with pytest.raises(ValueError, match=rf"^{name} = inf must be"):
+                function(*args)

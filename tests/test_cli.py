@@ -476,6 +476,14 @@ def test_simulate_on_a_config_the_study_cannot_run_exits_2(lo_cfg, capsys):
     assert "table2 requires the logistic family" in err
 
 
+def test_simulate_on_a_preset_of_another_study_exits_2(capsys):
+    # table1 reads no k_folds; it used to run figure1's design without them
+    assert main(["simulate", "table1", "--preset", "figure1_desk"]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and err.count("\n") == 1
+    assert "k_folds" in err
+
+
 def test_simulate_on_a_loss_the_oracle_cannot_score_exits_2(table2_cfg, capsys):
     table2_cfg.write_text(TINY_TABLE2.replace("loss = logistic", "loss = squared"))
     assert main(["simulate", "table2", "--config", str(table2_cfg)]) == 2
@@ -590,6 +598,10 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, extra, message):
         (["bounds", "--rho", "inf", "--delta", "1", "--lambda", "1"], "rho = inf"),
         (["bounds", "--rho", "1", "--delta", "inf", "--lambda", "1"], "delta = inf"),
         (["bounds", "--rho", "1", "--delta", "1", "--lambda", "inf"], "lam = inf"),
+        (
+            ["bounds", "--rho", "1e200", "--delta", "1e200", "--lambda", "1e-200"],
+            "C_b = inf",
+        ),
     ],
     ids=[
         "k_1",
@@ -607,6 +619,7 @@ def test_unknown_config_key_exits_2(tmp_path, capsys, extra, message):
         "rho_inf",
         "delta_inf",
         "lambda_inf",
+        "constants_overflow",
     ],
 )
 def test_flag_value_the_library_refuses_exits_2(lo_cfg, capsys, argv, flag):

@@ -9,7 +9,7 @@ import pytest
 
 from loorisk import experiments, risk, solver
 from loorisk.cli import main
-from loorisk.datagen import SimConfig
+from loorisk.datagen import SimConfig, derive_seed
 from loorisk.experiments import (
     fit_loglog_slope,
     mse_of_estimator,
@@ -18,7 +18,9 @@ from loorisk.experiments import (
     run_table2,
 )
 from loorisk.losses import LossSpec
+from loorisk.oracles import TrueModel, err_out_linear, err_out_logistic
 from loorisk.regularizers import RegSpec
+from loorisk.risk import kfold_cv, lo_exact
 from loorisk.solver import ModelSpec, SolverError
 
 TABLE2_MODEL = ModelSpec(LossSpec("logistic"), RegSpec("ridge"), lam=0.1)
@@ -361,3 +363,105 @@ def test_figure1_refuses_folds_that_cannot_exist(monkeypatch, k_folds):
         run_figure1(config, FIGURE1_MODEL)
     # refused before any refit runs
     assert calls == []
+
+
+@pytest.mark.parametrize(
+    "runner, config, model, key",
+    [
+        (
+            run_table1,
+            SimConfig(
+                ns=(20,), p_ratio=2.0, k_ratio=0.1, family="linear", reps=2,
+                k_folds=(3,),
+            ),
+            TABLE1_MODEL,
+            "k_folds",
+        ),
+        (run_table2, tiny_table2_config(lambdas=(0.1, 0.2)), TABLE2_MODEL, "lambdas"),
+        (run_figure1, tiny_figure1_config(ns=(12, 16)), FIGURE1_MODEL, "ns"),
+    ],
+    ids=["table1_k_folds", "table2_lambdas", "figure1_two_ns"],
+)
+def test_studies_refuse_what_they_would_ignore(monkeypatch, runner, config, model, key):
+    # a table reads one lambda and no folds, figure1 one n: each used to run
+    # without what it does not read
+    calls = []
+    real_gen = experiments.gen_replicate
+
+    def counting_gen(*args):
+        calls.append(1)
+        return real_gen(*args)
+
+    monkeypatch.setattr(experiments, "gen_replicate", counting_gen)
+    with pytest.raises(ValueError, match=key):
+        runner(config, model)
+    # refused before any replicate runs
+    assert calls == []
+
+
+def test_table2_refuses_a_noise_var_its_oracle_cannot_take():
+    # the logistic family draws no noise, so SimConfig lets any value through;
+    # the oracle's TrueModel does not, and the study refuses it before a replicate
+    with pytest.raises(ValueError, match="noise_var"):
+        run_table2(tiny_table2_config(noise_var=-1.0), TABLE2_MODEL)
+
+
+def replicate_values(config, model, n, rep):
+    """Oracle, LO and K-fold values of one replicate from the public functions,
+    in phi units."""
+    data, beta_star, cov, full = experiments._fitted_replicate(config, model, n, rep)
+    truth = TrueModel(beta_star, cov, config.noise_var, config.family)
+    if config.family == "logistic":
+        values = {"oracle": err_out_logistic(full.beta_hat, truth)}
+    else:
+        values = {"oracle": 0.5 * err_out_linear(full.beta_hat, truth)}
+    values["lo_exact"] = lo_exact(data, model, full_fit=full).estimate
+    for K in config.k_folds or ():
+        seed = derive_seed(config.seed, n, rep, K)
+        values[f"kfold{K}"] = kfold_cv(data, model, K, seed, full_fit=full).estimate
+    return values
+
+
+@pytest.mark.parametrize(
+    "runner, config, model",
+    [
+        (
+            run_table1,
+            SimConfig(
+                ns=(20, 30), p_ratio=2.0, k_ratio=0.1, sigma="identity/n",
+                noise_var=1.0, family="linear", reps=3, seed=9,
+            ),
+            TABLE1_MODEL,
+        ),
+        (run_table2, tiny_table2_config(ns=(30, 40)), TABLE2_MODEL),
+    ],
+    ids=["table1", "table2"],
+)
+def test_table_rows_are_the_mse_of_lo_against_the_oracle(runner, config, model):
+    rows = runner(config, model).rows
+    assert [row["n"] for row in rows] == list(config.ns)
+    for row in rows:
+        reps = [replicate_values(config, model, row["n"], r) for r in range(3)]
+        expected = mse_of_estimator(
+            [v["oracle"] for v in reps], [v["lo_exact"] for v in reps]
+        )
+        assert (row["estimator"], row["mse"], row["mse_se"]) == ("lo_exact", *expected)
+
+
+def test_figure1_rows_are_the_mean_of_the_doubled_estimates():
+    config = tiny_figure1_config(reps=3, k_folds=(3, 4), lambdas=(0.5, 1.0))
+    rows = run_figure1(config, FIGURE1_MODEL).rows
+    names = ["kfold3", "kfold4", "lo_exact", "oracle"]
+    assert [(row["lam"], row["estimator"]) for row in rows] == [
+        (lam, name) for lam in (0.5, 1.0) for name in names
+    ]
+    for row in rows:
+        model = replace(FIGURE1_MODEL, lam=row["lam"])
+        values = np.array(
+            [
+                2.0 * replicate_values(config, model, 16, r)[row["estimator"]]
+                for r in range(3)
+            ]
+        )
+        se = float(np.std(values, ddof=1) / np.sqrt(3))
+        assert (row["mse"], row["mse_se"]) == (float(np.mean(values)), se)
