@@ -14,7 +14,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import eigvalsh
 
 from .losses import LossSpec, _loss_terms, loss_derivative_bound, loss_eval
 from .regularizers import reg_curvature_diag
@@ -141,6 +140,7 @@ def pick_audit_indices(n, count=25):
 
 def _segment_sigma_min(data, model, beta_full, beta_loo, i, t_grid):
     """inf over the t-grid of sigma_min(A_{t,/i}); responses already checked."""
+    from scipy.linalg import eigvalsh
     rest = data.drop_rows(i)
     best = np.inf
     for t in t_grid:

@@ -238,6 +238,8 @@ class SimConfig:
                 raise ValueError(f"{name}_ratio = {ratio}: not finite")
         if _integer("reps", self.reps) < 1:
             raise ValueError("reps must be >= 1")
+        if not 0 <= self.noise_var < np.inf:
+            raise ValueError(f"noise_var = {self.noise_var}: requires 0 <= noise_var < inf")
         _integer("seed", self.seed)
         # a replicate parses these values when it is drawn: probe them now,
         # so that a design no replicate can use is refused where it is built

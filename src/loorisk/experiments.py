@@ -195,8 +195,6 @@ def check_study(kind, config, model):
         raise ValueError(f"{kind} requires the {reg} regularizer")
     if model.phi_spec.family != phi:
         raise ValueError(f"{kind} requires the {phi} loss as its error function")
-    if not 0 <= config.noise_var < np.inf:
-        raise ValueError(f"{kind} requires 0 <= noise_var < inf for its oracle")
     if kind != "figure1":
         for key in ("k_folds", "lambdas"):
             if getattr(config, key) is not None:

@@ -17,7 +17,6 @@ import logging
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import LinAlgError, solve_triangular
 
 from .losses import _check_response, _loss_terms, _loss_value
 from .regularizers import reg_curvature_diag, strong_convexity_lower
@@ -105,8 +104,9 @@ def _leverage(Xs, d2, curvature):
         return np.zeros(Xs.shape[0])
     try:
         factor = _hessian_factor(Xs, d2, curvature)
-    except LinAlgError as exc:
+    except np.linalg.LinAlgError as exc:
         raise SolverError("singular curvature matrix in ALO") from exc
+    from scipy.linalg import solve_triangular
     V = solve_triangular(factor[0], Xs.T, lower=True, check_finite=False)
     return np.einsum("ij,ij->j", V, V)
 

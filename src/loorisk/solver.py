@@ -30,11 +30,14 @@ factorization per group (K-fold with K <= 3 or so), or with a singular
 full-data Hessian, are refit one at a time by damped Newton, a block's
 groups in turn.  Every route runs its blocks one after another, in O(block)
 floats besides the data: the parallelism is the experiments' process pool.
+scipy.linalg is imported at the first Cholesky factor, which l1 and elastic
+net never form.
 """
 
 from __future__ import annotations
 
 import glob
+import importlib.util
 import logging
 import math
 import os
@@ -42,9 +45,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-import scipy
-from scipy.linalg import LinAlgError, cho_factor, cho_solve
-from scipy.linalg.lapack import dpotri
 
 from .losses import LossSpec, _check_response, _loss_terms, _loss_value
 from .regularizers import RegSpec, _prox, _prox_params, reg_eval, reg_value
@@ -65,7 +65,7 @@ _REFIT_CHUNK = 64
 
 def _openblas(verb):
     """{package: the get or set (verb) thread function of its OpenBLAS} for
-    numpy and scipy, from the library next to each package."""
+    numpy and scipy, from the library next to each, without importing scipy."""
     import ctypes
 
     # numpy >= 2 and scipy >= 1.13 prefix the names with scipy_; numpy's end in 64_
@@ -73,13 +73,14 @@ def _openblas(verb):
     names = [f"{stem}_{verb}_num_threads{end}" for stem in stems for end in ("64_", "")]
     signature = {"get": ([], ctypes.c_int), "set": ([ctypes.c_int], None)}[verb]
     found = {}
-    for module in (np, scipy):
-        for path in glob.glob(os.path.dirname(module.__file__) + ".libs/*openblas*"):
+    for package in ("numpy", "scipy"):
+        root = os.path.dirname(importlib.util.find_spec(package).origin)
+        for path in glob.glob(root + ".libs/*openblas*"):
             lib = ctypes.CDLL(path)
             fn = next(filter(None, (getattr(lib, name, None) for name in names)), None)
             if fn is not None:
                 fn.argtypes, fn.restype = signature
-                found[module.__name__] = fn
+                found[package] = fn
     return found
 
 
@@ -212,6 +213,7 @@ def _hessian_factor(X, w, shift):
     """Cholesky factor of _weighted_gram(X, w, shift); LinAlgError if singular."""
     # symmetric, so the transpose is the column-major array LAPACK factors in place
     A = _weighted_gram(X, w, shift).T
+    from scipy.linalg import cho_factor  # the first factor loads scipy.linalg
     return cho_factor(A, lower=True, overwrite_a=True, check_finite=False)
 
 
@@ -220,6 +222,7 @@ def _factor_inverse(factor):
 
     LAPACK's dpotri fills the lower triangle, mirrored here into the upper.
     """
+    from scipy.linalg.lapack import dpotri
     H_inv = dpotri(factor[0], lower=1, overwrite_c=1)[0]
     for j in range(1, H_inv.shape[0]):
         H_inv[:j, j] = H_inv[j, :j]
@@ -303,13 +306,14 @@ def _fit_newton(data, model, opts, beta, used=0):
         if factor is None:
             try:
                 factor = _hessian_factor(data.X, d2, model.lam * rh)
-            except LinAlgError:
+            except np.linalg.LinAlgError:
                 if not singular:
                     log.warning("singular Newton system, falling back to gradient step")
                 singular = True
         # -grad, unless the system is regular and its Newton direction descends
         direction = -grad
         if factor is not None:
+            from scipy.linalg import cho_solve
             newton = -cho_solve(factor, grad, check_finite=False)
             if grad @ newton < 0.0:
                 direction = newton
@@ -734,7 +738,7 @@ def fit_leave_groups_out(data, model, groups, warm, opts=None):
             # and scipy may each bring their own multi-threaded BLAS, and
             # alternating between the two costs more than these small products
             H_inv = _factor_inverse(_hessian_factor(data.X, d2, model.lam * rh))
-        except LinAlgError:
+        except np.linalg.LinAlgError:
             log.warning("singular full-data Hessian, refitting one group at a time")
         else:
             warm_terms = (values, d1, d2, obj_full, g_full, g_full @ H_inv)

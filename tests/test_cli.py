@@ -421,6 +421,82 @@ def test_results_do_not_depend_on_the_blas_threads(tmp_path):
     assert csvs[0] == csvs[1]
 
 
+def run_fresh_python(code, **env):
+    """Run code in a new interpreter on this checkout's loorisk: this test
+    process has long imported scipy.linalg."""
+    src = str(Path(loorisk.__file__).parents[1])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path, **env)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+
+
+ELASTIC_NET_PATH = """
+import sys
+import loorisk
+import loorisk.cli
+from loorisk.bounds import _ridge_logistic_report
+from loorisk.cli import load_config
+from loorisk.datagen import gen_replicate
+from loorisk.losses import LossSpec
+from loorisk.oracles import TrueModel, err_out_linear
+from loorisk.regularizers import RegSpec
+from loorisk.risk import kfold_cv, lo_exact
+from loorisk.solver import Dataset, ModelSpec, fit
+
+sim, model, opts = load_config(preset="figure1_desk")
+assert model.reg.family == "elastic_net"
+X, beta_star, y, cov = gen_replicate(sim, sim.ns[0], 0)
+data = Dataset(X, y)
+full = fit(data, model, opts)
+lo_exact(data, model, opts, full)
+kfold_cv(data, model, 5, sim.seed, opts, full)
+err_out_linear(full.beta_hat, TrueModel(beta_star, cov, sim.noise_var, sim.family))
+_ridge_logistic_report(1, 1, 0.1, 100)
+assert "scipy.linalg" not in sys.modules, "loaded without a Cholesky factor"
+
+y01 = (y > 0).astype(float)
+fit(Dataset(X, y01), ModelSpec(LossSpec("logistic"), RegSpec("ridge"), lam=0.1))
+assert "scipy.linalg" in sys.modules, "a Newton fit factored without it"
+"""
+
+
+def test_scipy_linalg_loads_at_the_first_cholesky_factor():
+    # the CLI, the l1 / elastic-net path, the oracle and the bound report
+    # factor no matrix, so a process that runs only them never pays for
+    # scipy.linalg; a ridge-logistic fit's Newton step loads it
+    run_fresh_python(ELASTIC_NET_PATH)
+
+
+BLAS_PINNED_BEFORE_SCIPY = """
+import sys
+import numpy as np
+from loorisk.losses import LossSpec
+from loorisk.regularizers import RegSpec
+from loorisk.risk import alo
+from loorisk.solver import Dataset, ModelSpec, _openblas, _pin_blas, fit
+
+assert "scipy.linalg" not in sys.modules
+_pin_blas({"numpy": 1, "scipy": 1})
+rng = np.random.default_rng(0)
+X = rng.standard_normal((60, 20))
+data = Dataset(X, X @ rng.standard_normal(20) + rng.standard_normal(60))
+model = ModelSpec(LossSpec("squared"), RegSpec("ridge"), lam=1.0)
+alo(data, model, fit(data, model))
+assert "scipy.linalg" in sys.modules
+threads = {name: get() for name, get in _openblas("get").items()}
+assert threads == {"numpy": 1, "scipy": 1}, threads
+"""
+
+
+def test_a_blas_pin_made_before_scipy_loads_holds_after():
+    # _pin_blas sets the threads of scipy's bundled OpenBLAS before
+    # scipy.linalg exists; the library it loads is the one scipy.linalg
+    # then links to, not a second copy at the environment's two threads
+    run_fresh_python(BLAS_PINNED_BEFORE_SCIPY, OPENBLAS_NUM_THREADS="2")
+
+
 @pytest.mark.parametrize("threads", ["0", "-3"])
 def test_threads_below_1_exit_2(table2_cfg, capsys, monkeypatch, threads):
     # refused before any replicate runs, from the flag or from the variable
@@ -558,6 +634,17 @@ def test_unusable_design_value_exits_2(tmp_path, capsys, old, new, message):
     err = capsys.readouterr().err
     assert err.startswith("config error:")
     assert message in err
+
+
+def test_a_negative_noise_var_exits_2_for_every_family(table2_cfg, capsys):
+    # only the linear family's responses read noise_var, and only they
+    # checked it: lo on this logistic config printed an estimate, exit 0
+    logistic = TINY_TABLE2.replace("family = logistic", "family = logistic\nnoise_var = -1")
+    table2_cfg.write_text(logistic)
+    assert main(["lo", "--config", str(table2_cfg)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:")
+    assert "requires 0 <= noise_var < inf" in err
 
 
 @pytest.mark.parametrize(
